@@ -9,7 +9,8 @@ Subcommands:
 
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error,
-2 computation finished without convergence.
+2 computation finished without convergence or stopped on a named error
+(printed as `error: <Name>: <message>` on stderr).
 """
 
 from __future__ import annotations
@@ -156,15 +157,17 @@ def cmd_scan(args) -> int:
         print("error: --count must be >= 1", file=sys.stderr)
         return 1
     base = {"M": float(args.M), "m": float(args.m), "s": float(args.s)}
-    start, stop, count = float(args.start), float(args.stop), args.count
-    values = [start + (stop - start) * i / (count - 1) for i in range(count)] \
-        if count > 1 else [start]
+    # exact grid: in floats the midpoint of 1.85 .. 2.45 is
+    # 2.1500000000000004, which the exact arithmetic would take literally
+    start, stop, count = args.start, args.stop, args.count
+    values = [start + (stop - start) * Fraction(i, count - 1)
+              for i in range(count)] if count > 1 else [start]
 
     lines = ["sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,"
              "monotone,status"]
     for v in values:
         kw = dict(base)
-        kw[args.sweep] = v
+        kw[args.sweep] = float(v)
         params = ModelParams(**kw)
         status = "ok"
         alpha_h = a1v = a2v = ""
@@ -231,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     _add_solver_flags(p)
     p.add_argument("--sweep", choices=("M", "m", "s"), required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
+    p.add_argument("--start", type=_parse_exact, required=True)
+    p.add_argument("--stop", type=_parse_exact, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
@@ -250,6 +253,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,
+            ivp.StepUnderflow) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

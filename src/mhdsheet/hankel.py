@@ -4,12 +4,16 @@ The D x D Hankel matrix has entries f_{i+j+d}(alpha), i,j = 1..D, taken
 from the exact Taylor table. Its determinant is a polynomial in alpha; the
 root sequence alpha_D (D = 2, 3, ...) converges to the physical f''(0).
 
-Determinant signs are computed exactly: the rational matrix is cleared to
-integers row by row (positive multipliers, sign preserved) and reduced by
-fraction-free Bareiss elimination. Root location is a dyadic-point scan
+Determinant signs are computed exactly. The matrix has only 2D-1
+distinct entries f_{d+2} .. f_{2D+d}; at a rational alpha = a/b each is
+evaluated by integer Horner from the table's integer form, and all are
+scaled by one positive integer to a sequence c_0 .. c_{2D-2}, which keeps
+the sign of det[c_{i+j}]. That sign comes from Desnanot-Jacobi
+(Dodgson) condensation, ~D^2 exact big-integer steps; when one of its
+exact divisors is zero, fraction-free Bareiss elimination of the same
+integer matrix decides instead. Root location is a dyadic-point scan
 followed by exact-sign bisection, so no floating-point cancellation can
-ever flip a bracket. High D is therefore correct but slow; no float
-fallback is substituted silently.
+ever flip a bracket, and no float fallback is substituted silently.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from .model import ModelParams
 from .polyseries import AlphaPolynomial, TaylorTable, taylor_table
 
-try:  # GMP-backed integers cut Bareiss cost by ~8x; plain int is exact too
+try:  # GMP-backed integers, when installed; plain int is exact too
     from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover
     def _mpz(x):
@@ -80,11 +84,15 @@ class RootSequence:
     skipped: list[int] = field(default_factory=list)  # D with no nearby root
 
 
-def hankel_entries(table: TaylorTable, d: int, D: int) -> list[list[AlphaPolynomial]]:
-    """The D x D matrix with entry (i,j) = f_{i+j+d}, i,j = 1..D."""
+def _check_order(table: TaylorTable, d: int, D: int) -> None:
     if table.order < 2 * D + d:
         raise ValueError(
             f"table order {table.order} < 2D+d = {2 * D + d}; build a longer table")
+
+
+def hankel_entries(table: TaylorTable, d: int, D: int) -> list[list[AlphaPolynomial]]:
+    """The D x D matrix with entry (i,j) = f_{i+j+d}, i,j = 1..D."""
+    _check_order(table, d, D)
     return [[table.entries[i + j + d] for j in range(1, D + 1)]
             for i in range(1, D + 1)]
 
@@ -129,12 +137,57 @@ def _bareiss_sign(A: list[list[int]]) -> int:
     return 0 if v == 0 else (sign if v > 0 else -sign)
 
 
+def _hankel_sequence(table: TaylorTable, d: int, D: int, alpha: Fraction) -> list:
+    """Integers c_0 .. c_{2D-2}, c_t = Q f_{t+d+2}(alpha) for one Q > 0, so
+    det[c_{i+j}] has the sign of the Hankel determinant. Horner runs on
+    numerators: with alpha = a/b, an entry sum p_i alpha^i / L of degree
+    n-1 is (sum p_i a^i b^(n-1-i)) / (L b^(n-1))."""
+    a, b = alpha.numerator, alpha.denominator
+    forms = table.cleared[d + 2:2 * D + d + 1]
+    top = max(len(ps) for ps, _ in forms)
+    bpow = [1]
+    for _ in range(top):
+        bpow.append(bpow[-1] * b)
+    Q = math.lcm(*(L for _, L in forms))
+    out = []
+    for ps, L in forms:
+        n = len(ps)
+        acc = 0
+        for i in range(n - 1, -1, -1):
+            acc = acc * a + ps[i] * bpow[n - 1 - i]
+        out.append(_mpz(acc * (Q // L) * bpow[top - n]))
+    return out
+
+
+def _condensation_sign(c: list) -> int:
+    """Exact sign of det[c_{i+j}], i,j = 0..D-1, from the 2D-1 integers c.
+
+    With H_n^(k) = det[c_{k+i+j}]_{i,j<n}, H_0 = 1 and H_1^(k) = c_k, the
+    Desnanot-Jacobi identity
+
+        H_n^(k) H_{n-2}^(k+2) = H_{n-1}^(k) H_{n-1}^(k+2) - (H_{n-1}^(k+1))^2
+
+    gives every level from the two below by exact division, ~D^2 steps in
+    all. A zero divisor stops the recurrence; Bareiss then decides.
+    """
+    D = (len(c) + 1) // 2
+    prev, cur = [1] * len(c), c
+    for _ in range(2, D + 1):
+        nxt = []
+        for k in range(len(cur) - 2):
+            div = prev[k + 2]
+            if div == 0:
+                return _bareiss_sign([c[i:i + D] for i in range(D)])
+            nxt.append((cur[k] * cur[k + 2] - cur[k + 1] * cur[k + 1]) // div)
+        prev, cur = cur, nxt
+    v = cur[0]
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
 def det_sign_at(table: TaylorTable, d: int, D: int, alpha: Fraction) -> int:
     """Exact sign of the Hankel determinant at a rational alpha."""
-    alpha = Fraction(alpha)
-    entries = hankel_entries(table, d, D)
-    rows = [[p(alpha) for p in row] for row in entries]
-    return _bareiss_sign(_int_matrix(rows))
+    _check_order(table, d, D)
+    return _condensation_sign(_hankel_sequence(table, d, D, Fraction(alpha)))
 
 
 def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> float:

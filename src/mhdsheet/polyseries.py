@@ -9,14 +9,27 @@ terms):
         + sum_{k=0..j} (k+1)(j-k+1) f_{k+1} f_{j-k+1}
         - m sum_{k=0..j} (j-k+1)(j-k+2) f_k f_{j-k+2}
 
-seeded by f_0 = s, f_1 = -1, f_2 = alpha/2. All arithmetic is exact over
-rationals; the Hankel sign tests downstream depend on that.
+seeded by f_0 = s, f_1 = -1, f_2 = alpha/2. All arithmetic is exact; the
+Hankel sign tests downstream depend on that.
+
+The table is built over the integers. With q the lcm of the denominators
+of M^2, m and s, write M^2 = A/q and m = B/q. Multiplying the recurrence
+by j! turns it into one for F_k = k! f_k with binomial weights, and
+G_k = q^(2k+1) F_k then obeys
+
+    G_{j+3} = A q^3 G_{j+1}
+        + sum_{k=0..j} C(j,k) (q G_{k+1} G_{j-k+1} - B G_k G_{j-k+2})
+
+from G_0 = q s, G_1 = -q^3, G_2 = q^5 alpha. Every G_k is a polynomial in
+alpha with integer coefficients, so no gcd is taken until the rational
+entries f_k = G_k / (q^(2k+1) k!) are formed once at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -125,6 +138,17 @@ class TaylorTable:
     def order(self) -> int:
         return len(self.entries) - 1
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each entry over one denominator: (c, L) with f_k = sum c_i alpha^i / L,
+        L > 0 the lcm of the coefficient denominators. Built from `entries`
+        on first use, so exact evaluation can stay in integers."""
+        out = []
+        for p in self.entries:
+            L = math.lcm(*(c.denominator for c in p.coeffs))
+            out.append((tuple(c.numerator * (L // c.denominator) for c in p.coeffs), L))
+        return tuple(out)
+
 
 def taylor_table(params: ModelParams, order: int) -> TaylorTable:
     """Build f_0 .. f_order by the exact recurrence. Requires order >= 3."""
@@ -134,18 +158,36 @@ def taylor_table(params: ModelParams, order: int) -> TaylorTable:
     m = to_exact(params.m)
     s = to_exact(params.s)
 
-    f = [
-        AlphaPolynomial.constant(s),
-        AlphaPolynomial.constant(-1),
-        AlphaPolynomial.make([0, Fraction(1, 2)]),
-    ]
+    q = math.lcm(m2.denominator, m.denominator, s.denominator)
+    a_q3 = m2.numerator * (q // m2.denominator) * q ** 3
+    b = m.numerator * (q // m.denominator)
+    G = [[s.numerator * (q // s.denominator)], [-q ** 3], [0, q ** 5]]
     for j in range(order - 2):
-        rhs = f[j + 1].scale(m2 * (j + 1))
+        acc = [0] * (2 * max(map(len, G)) - 1)
+        _add_product(acc, G[j + 1], [a_q3])
         for k in range(j + 1):
-            rhs = rhs + (f[k + 1] * f[j - k + 1]).scale((k + 1) * (j - k + 1))
-            rhs = rhs + (f[k] * f[j - k + 2]).scale(-m * (j - k + 1) * (j - k + 2))
-        f.append(rhs.scale(Fraction(1, (j + 1) * (j + 2) * (j + 3))))
-    return TaylorTable(m2=m2, m=m, s=s, entries=tuple(f))
+            c = math.comb(j, k)
+            _add_product(acc, G[k + 1], [c * q * x for x in G[j - k + 1]])
+            _add_product(acc, G[k], [-c * b * x for x in G[j - k + 2]])
+        while acc and acc[-1] == 0:
+            acc.pop()
+        G.append(acc)
+
+    entries = []
+    den = q
+    for k, g in enumerate(G):
+        if k:
+            den *= q * q * k
+        entries.append(AlphaPolynomial.make([Fraction(x, den) for x in g]))
+    return TaylorTable(m2=m2, m=m, s=s, entries=tuple(entries))
+
+
+def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """acc += a * b for integer coefficient lists (acc long enough)."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
 
 
 def evaluate_table(table: TaylorTable, alpha: Fraction) -> list[Fraction]:

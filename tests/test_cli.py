@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -114,10 +115,40 @@ class TestScan:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[1].endswith("ComplexDecay")
 
+    def test_interior_points_are_exact(self, monkeypatch, capsys):
+        from mhdsheet import hankel
+        from mhdsheet.polyseries import to_exact
+        seen = []
+
+        def stub(params, cfg):
+            seen.append(params)
+            raise hankel.NoSignChange("stub")
+
+        monkeypatch.setattr(hankel, "alpha_sequence", stub)
+        # in floats, 1.85 + (2.45 - 1.85) / 2 is 2.1500000000000004
+        code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
+                     "--sweep", "s", "--start", "1.85", "--stop", "2.45",
+                     "--count", "3"])
+        assert code == 0
+        assert [p.s for p in seen] == [1.85, 2.15, 2.45]
+        assert to_exact(seen[1].s) == Fraction(43, 20)
+        assert capsys.readouterr().out.split("\n")[2].startswith("s,2.15,")
+
     def test_bad_count(self, capsys):
         assert main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
                      "--sweep", "s", "--start", "1", "--stop", "2",
                      "--count", "0"]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_named_error_without_traceback(command, capsys):
+    # M = 0, m = 2, s = 0.5 has no real N=1 decay rate
+    code = main([command, "--M", "0", "--m", "2", "--s", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ComplexDecay: ")
+    assert "Traceback" not in captured.err
 
 
 class TestParser:

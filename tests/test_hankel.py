@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhdsheet import (HankelConfig, ModelParams, NoSignChange, alpha_sequence,
                       det_sign_at, find_root, hankel_entries, solve_n1,
                       taylor_table)
-from mhdsheet.hankel import _bareiss_sign, _int_matrix
+from mhdsheet import hankel
+from mhdsheet.hankel import _bareiss_sign, _condensation_sign, _int_matrix
 from mhdsheet.polyseries import AlphaPolynomial, TaylorTable
 
 
@@ -94,6 +97,55 @@ class TestDetSign:
         assert _bareiss_sign(_int_matrix(rows)) == _bareiss_sign(_int_matrix(tr))
 
 
+def _sign(x):
+    return 0 if x == 0 else (1 if x > 0 else -1)
+
+
+@st.composite
+def hankel_sequences(draw):
+    """2D-1 small integers with some entries forced to zero, so that
+    vanishing inner minors (zero condensation divisors) are common."""
+    D = draw(st.integers(1, 7))
+    c = draw(st.lists(st.integers(-3, 3), min_size=2 * D - 1, max_size=2 * D - 1))
+    for i in draw(st.lists(st.integers(0, 2 * D - 2), max_size=D)):
+        c[i] = 0
+    return c
+
+
+class TestCondensation:
+    @settings(max_examples=300, deadline=None)
+    @given(hankel_sequences())
+    def test_matches_bareiss(self, c):
+        D = (len(c) + 1) // 2
+        assert _condensation_sign(c) == _bareiss_sign([c[i:i + D] for i in range(D)])
+
+    def test_zero_inner_minor_falls_back(self, monkeypatch):
+        # c = 1, 1, 0, 1, 1: the 3x3 step divides by the inner minor c_2 = 0
+        calls = []
+
+        def spy(A):
+            calls.append(A)
+            return _bareiss_sign(A)
+
+        monkeypatch.setattr(hankel, "_bareiss_sign", spy)
+        tab = synthetic_table([0, 0, 0, 1, 1, 0, 1, 1])
+        alpha = Fraction(5, 7)
+        rows = [[p(alpha) for p in row] for row in hankel_entries(tab, 1, 3)]
+        want = cofactor_det(rows)
+        assert want == -2
+        assert det_sign_at(tab, d=1, D=3, alpha=alpha) == _sign(want)
+        assert len(calls) == 1
+
+    def test_matches_bareiss_on_paper_table(self, paper_params):
+        tab = taylor_table(paper_params, 25)
+        for D in (5, 8, 12):
+            for alpha in (Fraction(4204113, 2 ** 20), Fraction(-7, 3),
+                          Fraction(4204113, 10 ** 6)):
+                rows = [[p(alpha) for p in row]
+                        for row in hankel_entries(tab, 1, D)]
+                assert det_sign_at(tab, 1, D, alpha) == _bareiss_sign(_int_matrix(rows))
+
+
 class TestFindRoot:
     def test_synthetic_rank_deficiency_root(self):
         # f_j(alpha) = 2^-j + (alpha - c) * j / 3^j: at alpha = c the
@@ -144,3 +196,20 @@ class TestAlphaSequence:
         with pytest.raises(NoSignChange) as exc:
             alpha_sequence(ModelParams(2, 2, 1.8), cfg)
         assert exc.value.D is not None
+
+    def test_paper_case_sequence_is_frozen(self, paper_params):
+        # recorded with signs from Bareiss elimination alone; any exact
+        # sign test makes the same bracket decisions, so every float is
+        # reproduced bit for bit
+        cfg = HankelConfig(seed=solve_n1(paper_params).beta, D_max=20)
+        seq = alpha_sequence(paper_params, cfg)
+        assert seq.roots == [
+            (5, 3.976010801474331), (6, 4.2801082977384795),
+            (7, 4.216553214617306), (8, 4.21745667301002),
+            (10, 4.205091516923858), (11, 4.203279435372679),
+            (12, 4.204630291758804), (13, 4.204245656757848),
+            (14, 4.203734395530773), (16, 4.20408824403421),
+            (17, 4.204013028851477), (18, 4.204112747946056),
+            (19, 4.204117260786006), (20, 4.2041146066912916)]
+        assert seq.skipped == [2, 3, 4, 9, 15]
+        assert seq.alpha_star == 4.2041146066912916

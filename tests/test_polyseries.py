@@ -56,6 +56,42 @@ class TestTaylorTable:
         assert a.entries == b.entries
 
 
+def fraction_recurrence(M, m, s, order):
+    """Reference: the coefficient recurrence run directly on rational
+    polynomials, f_{j+3} from f_0 .. f_{j+2}."""
+    M2, m, s = Fraction(M) ** 2, Fraction(m), Fraction(s)
+    f = [AlphaPolynomial.constant(s), AlphaPolynomial.constant(-1),
+         AlphaPolynomial.make([0, Fraction(1, 2)])]
+    for j in range(order - 2):
+        rhs = f[j + 1].scale(M2 * (j + 1))
+        for k in range(j + 1):
+            rhs = rhs + (f[k + 1] * f[j - k + 1]).scale((k + 1) * (j - k + 1))
+            rhs = rhs + (f[k] * f[j - k + 2]).scale(-m * (j - k + 1) * (j - k + 2))
+        f.append(rhs.scale(Fraction(1, (j + 1) * (j + 2) * (j + 3))))
+    return tuple(f)
+
+
+@pytest.mark.parametrize("M, m, s", [
+    (Fraction(1, 3), Fraction(37, 100), Fraction(231, 100)),
+    (Fraction(2), Fraction(2), Fraction(9, 5)),
+    (Fraction(131, 100), Fraction(0), Fraction(109, 100)),
+    (Fraction(-5, 2), Fraction(-3, 7), Fraction(0)),
+    (Fraction(0), Fraction(1), Fraction(-11, 6)),
+])
+def test_integer_recurrence_equals_fraction_recurrence(M, m, s):
+    tab = taylor_table(ModelParams(M, m, s), 24)
+    assert tab.entries == fraction_recurrence(M, m, s, 24)
+    assert (tab.m2, tab.m, tab.s) == (M ** 2, m, s)
+
+
+def test_cleared_form_matches_entries():
+    tab = taylor_table(ModelParams(Fraction(1, 3), Fraction(37, 100),
+                                   Fraction(231, 100)), 12)
+    for p, (ints, L) in zip(tab.entries, tab.cleared):
+        assert L > 0
+        assert tuple(Fraction(c, L) for c in ints) == p.coeffs
+
+
 class TestEvaluateTable:
     def test_f2_is_half_alpha(self, paper_params):
         tab = taylor_table(paper_params, 3)
