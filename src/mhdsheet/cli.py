@@ -8,7 +8,8 @@ Subcommands:
   scan     -- parameter sweep; one CSV row per point.
 
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
-line endings. Exit codes: 0 success/converged, 1 usage or I/O error,
+line endings. Exit codes: 0 success/converged, 1 usage or I/O error
+(a flag value out of bounds prints `error: <message>` on stderr),
 2 computation finished without convergence or stopped on a named error
 (printed as `error: <Name>: <message>` on stderr).
 """
@@ -22,6 +23,20 @@ from fractions import Fraction
 
 from . import ansatz, hankel, ivp
 from .model import ModelParams
+
+
+class UsageError(Exception):
+    """A flag value outside the bound that its config class or
+    `ivp.integrate` enforces."""
+
+
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError (a flag value out of
+    bounds) raised as a UsageError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _num(x):
@@ -89,7 +104,8 @@ def _solve_case(params: ModelParams, d: int, D_max: int, tol: float) -> dict:
         out["ansatz2"] = {"error": type(e).__name__}
         warnings.append(f"ansatz2: {type(e).__name__}: {e}")
 
-    cfg = hankel.HankelConfig(seed=a1.beta, d=d, D_max=D_max, tol=tol)
+    cfg = _checked(hankel.HankelConfig, seed=a1.beta, d=d, D_max=D_max,
+                   tol=tol)
     seq = hankel.alpha_sequence(params, cfg)
     out["alpha_hankel"] = {
         "value": _num(seq.alpha_star),
@@ -134,17 +150,23 @@ def cmd_profile(args) -> int:
     except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot):
         a2 = None
 
+    try:
+        eta_max = None if args.eta_max == "auto" else float(args.eta_max)
+    except ValueError:
+        raise UsageError(f"--eta-max must be a decimal or 'auto', "
+                         f"got {args.eta_max!r}") from None
+    # checked before the Hankel sequence, which takes seconds
+    icfg = _checked(ivp.IntegratorConfig, eta_max=eta_max,
+                    sample_stride=args.stride)
+
     if args.alpha is not None:
         alpha = float(args.alpha)
     else:
-        cfg = hankel.HankelConfig(seed=a1.beta, d=args.d, D_max=args.Dmax,
-                                  tol=args.tol)
+        cfg = _checked(hankel.HankelConfig, seed=a1.beta, d=args.d,
+                       D_max=args.Dmax, tol=args.tol)
         alpha = hankel.alpha_sequence(params, cfg).alpha_star
 
-    eta_max = None if args.eta_max == "auto" else float(args.eta_max)
-    prof = ivp.integrate(params, alpha,
-                         ivp.IntegratorConfig(eta_max=eta_max,
-                                              sample_stride=args.stride))
+    prof = _checked(ivp.integrate, params, alpha, icfg)
     lines = ["eta,fp_numeric,fp_ansatz1,fp_ansatz2"]
     for eta, _, fp, _ in prof.rows:
         c1 = _fmt(ansatz.eval_ansatz(a1, eta, 1))
@@ -186,8 +208,8 @@ def cmd_scan(args) -> int:
         except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
             status = type(e).__name__
         try:
-            cfg = hankel.HankelConfig(seed=a1.beta, d=args.d, D_max=args.Dmax,
-                                      tol=args.tol)
+            cfg = _checked(hankel.HankelConfig, seed=a1.beta, d=args.d,
+                           D_max=args.Dmax, tol=args.tol)
             seq = hankel.alpha_sequence(params, cfg)
             alpha_h = _fmt(seq.alpha_star)
             prof = ivp.integrate(params, seq.alpha_star, ivp.IntegratorConfig())
@@ -252,7 +274,7 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except OSError as e:
+    except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,

@@ -68,7 +68,7 @@ class HankelConfig:
             raise ValueError("d must be >= -1 (the first entry is f_{d+2}, at lowest f_1)")
         if self.D_max < 2:
             raise ValueError("D_max must be >= 2")
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan included
             raise ValueError("tol must be positive")
         if self.scan_points < 3:
             raise ValueError("scan_points must be >= 3")

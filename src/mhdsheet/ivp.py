@@ -5,6 +5,12 @@ The third-order ODE is integrated as the first-order system
 f(0) = s, f'(0) = -1, f''(0) = alpha. Profiles carry extrema of f'
 (sign changes of f'', refined by bisection) so the presence or absence
 of an interior maximum can be checked directly.
+
+Shooting (`shoot_refine`) finds the alpha at which the trajectory's
+divergence side flips. Only that exact side decides the bracket. A
+continuous tail value from the same trajectory picks which node of
+bisection's tree to integrate next (Illinois regula falsi), so the result
+is plain bisection's float in fewer trajectories.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .model import ModelParams
 from . import ansatz
 
 BLOWUP = 1e12
+# shooting's bisection stops once its bracket is at most this wide
+LEAF_WIDTH = 1e-8
 
 
 class Blowup(Exception):
@@ -51,11 +59,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
+        # written so that nan fails every check
+        if not (self.step > 0 and self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("step and tolerances must be positive")
-        if self.eta_max is not None and self.eta_max <= 0:
-            raise ValueError("eta_max must be positive")
-        if self.sample_stride <= 0:
+        if self.eta_max is not None and not 0 < self.eta_max < math.inf:
+            raise ValueError("eta_max must be positive and finite")
+        if not self.sample_stride > 0:
             raise ValueError("sample_stride must be positive")
 
 
@@ -230,13 +239,30 @@ def monotonicity_report(p: Profile) -> MonotonicityReport:
                               fp_min=min(fp), fp_max=max(fp))
 
 
+def _tail_growth(params: ModelParams, beta: float) -> float:
+    """Growth rate of the unstable tail mode: the positive root of
+    lambda^2 + m f_inf lambda - M^2 = 0, the ODE for f' linearised about
+    f -> f_inf = s - 1/beta (the N=1 far field with decay rate beta)."""
+    mf = params.m * (params.s - 1.0 / beta)
+    return 0.5 * (math.sqrt(mf * mf + 4.0 * params.M ** 2) - mf)
+
+
 def _divergence_side(params: ModelParams, alpha: float,
-                     cfg: IntegratorConfig, eta_max: float) -> int:
-    """+1 when the trajectory overshoots (f' runs positive), -1 when it
-    undershoots. The true solution keeps f' in (-1, 0), so crossing
+                     cfg: IntegratorConfig, eta_max: float,
+                     growth: Optional[float] = None) -> tuple[int, float]:
+    """(side, u) for the trajectory from alpha.
+
+    side is +1 when the trajectory overshoots (f' runs positive), -1 when
+    it undershoots. The true solution keeps f' in (-1, 0), so crossing
     f' = +0.5 or f' = -1.5 settles the side immediately; terminating
     there also avoids grinding through the post-divergence growth. If
-    neither excursion happens, the sign of the tail value decides."""
+    neither excursion happens, the sign of the tail value decides.
+
+    u = f'(eta_stop) exp(growth (eta_max - eta_stop)) carries f' at the
+    stop (the event, or eta_max) out to eta_max along the unstable tail
+    mode. Its sign is the side, and across a shooting bracket it is
+    nearly linear in alpha, so it can guide the choice of the next alpha.
+    u is nan when no growth rate is given."""
 
     def over(eta, y):
         return y[1] - 0.5
@@ -253,34 +279,102 @@ def _divergence_side(params: ModelParams, alpha: float,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
                     events=(over, under))
     if sol.t_events[0].size:
-        return 1
-    if sol.t_events[1].size:
-        return -1
-    return 1 if sol.y[1, -1] > 0 else -1
+        side, eta_stop, fp = 1, sol.t_events[0][0], 0.5
+    elif sol.t_events[1].size:
+        side, eta_stop, fp = -1, sol.t_events[1][0], -1.5
+    else:
+        fp = float(sol.y[1, -1])
+        side, eta_stop = (1 if fp > 0 else -1), eta_max
+    if growth is None:
+        return side, math.nan
+    try:
+        return side, fp * math.exp(growth * (eta_max - eta_stop))
+    except OverflowError:
+        return side, math.copysign(math.inf, fp)
+
+
+def _tree_point(lo: float, hi: float, x: float, a: float, b: float) -> float:
+    """The deepest midpoint strictly inside (a, b) on the path of
+    bisection's tree from node (lo, hi) down toward x. The caller
+    guarantees that the midpoint of (lo, hi) itself lies in (a, b)."""
+    best = 0.5 * (lo + hi)
+    while hi - lo > LEAF_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if a < mid < b:
+            best = mid
+        if x < mid:
+            hi = mid
+        else:
+            lo = mid
+    return best
 
 
 def shoot_refine(params: ModelParams, bracket: tuple[float, float],
                  cfg: Optional[IntegratorConfig] = None) -> float:
-    """Bisection on alpha using the tail divergence side as discriminator,
-    down to a bracket width of 1e-8. Independent cross-check for the
-    Hankel result."""
+    """alpha at the sign change of the divergence side inside bracket,
+    resolved to bisection's final width of 1e-8. Independent cross-check
+    for the Hankel result.
+
+    The result is the one plain bisection on the side would return: the
+    midpoint of its final leaf (lo, hi). Only the order of the work
+    differs. The search keeps the tested points a < b nearest the sign
+    change and the node (lo, hi) of bisection's tree that holds them. A
+    midpoint of (lo, hi) outside (a, b) takes its side from a or b
+    without a trajectory. A midpoint inside needs a test, and the point
+    tested is chosen by an Illinois regula falsi step (Dowell & Jarratt
+    1971) on the tail value u of `_divergence_side`, rounded to the
+    deepest tree node inside (a, b); without a usable u (no real N=1
+    decay rate, a non-finite u, or a u whose sign is not the side) it is
+    the midpoint itself. When the side changes once inside the bracket
+    every inferred side is the side bisection would compute, so the
+    result is the same float."""
     if cfg is None:
         cfg = IntegratorConfig()
-    # divergence needs room to manifest; go well past the profile default
-    eta_max = 3 * (cfg.eta_max if cfg.eta_max is not None
-                   else auto_eta_max(params))
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bracket must be finite")
     if lo > hi:
         lo, hi = hi, lo
-    side_lo = _divergence_side(params, lo, cfg, eta_max)
-    side_hi = _divergence_side(params, hi, cfg, eta_max)
+    try:
+        beta = ansatz.solve_n1(params).beta
+    except ansatz.ComplexDecay:
+        if cfg.eta_max is None:
+            raise
+        beta = None
+    # divergence needs room to manifest; go well past the profile default
+    # (auto_eta_max is 10 / beta)
+    eta_max = 3 * (cfg.eta_max if cfg.eta_max is not None else 10.0 / beta)
+    growth = None if beta is None else _tail_growth(params, beta)
+
+    side_lo, ua = _divergence_side(params, lo, cfg, eta_max, growth)
+    side_hi, ub = _divergence_side(params, hi, cfg, eta_max, growth)
     if side_lo == side_hi:
         raise BadBracket(
             f"both endpoints diverge the same way (side {side_lo:+d})")
-    while hi - lo > 1e-8:
+    a, b = lo, hi
+    moved = 0  # end replaced by the last test: -1 for a, +1 for b
+    while hi - lo > LEAF_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _divergence_side(params, mid, cfg, eta_max) == side_lo:
+        if mid <= a:
             lo = mid
-        else:
+            continue
+        if mid >= b:
             hi = mid
+            continue
+        p = mid
+        if (math.isfinite(ua) and math.isfinite(ub)
+                and ua * side_lo > 0 and ub * side_hi > 0):
+            x = b - ub * (b - a) / (ub - ua)
+            # rounding can put x on a or b; aim just inside instead
+            x = min(max(x, math.nextafter(a, b)), math.nextafter(b, a))
+            p = _tree_point(lo, hi, x, a, b)
+        side, u = _divergence_side(params, p, cfg, eta_max, growth)
+        if side == side_lo:
+            if moved < 0:  # b kept twice: Illinois halves its weight
+                ub *= 0.5
+            a, ua, moved = p, u, -1
+        else:
+            if moved > 0:
+                ua *= 0.5
+            b, ub, moved = p, u, 1
     return 0.5 * (lo + hi)

@@ -152,6 +152,27 @@ def test_named_error_without_traceback(command, capsys):
     assert "Traceback" not in captured.err
 
 
+PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *PAPER, "--d", "-2"],
+    ["solve", *PAPER, "--Dmax", "1"],
+    ["solve", *PAPER, "--tol", "0"],
+    ["profile", *PAPER, "--stride", "0"],
+    ["profile", *PAPER, "--eta-max", "abc"],
+    ["profile", *PAPER, "--alpha", "nan"],
+], ids=["d", "Dmax", "tol", "stride", "eta-max", "alpha"])
+def test_bad_flag_value_is_usage_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+
+
 class TestParser:
     def test_usage_error_exit_code(self):
         assert main(["solve", "--M", "2"]) == 1

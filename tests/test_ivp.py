@@ -1,11 +1,14 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mhdsheet import (BadBracket, Blowup, IntegratorConfig, ModelParams,
-                      Profile, auto_eta_max, integrate, monotonicity_report,
-                      rhs, shoot_refine, solve_n1)
+from mhdsheet import (BadBracket, Blowup, ComplexDecay, IntegratorConfig,
+                      ModelParams, Profile, auto_eta_max, integrate, ivp,
+                      monotonicity_report, rhs, shoot_refine, solve_general,
+                      solve_n1)
 
 from conftest import PAPER_ALPHA
 
@@ -155,3 +158,125 @@ class TestShooting:
     def test_bracket_order_irrelevant(self, paper_params):
         a = shoot_refine(paper_params, (4.4, 4.0))
         assert a == pytest.approx(PAPER_ALPHA, abs=5e-7)
+
+
+def reference_bisection(params, bracket, cfg=None):
+    """Plain bisection on the divergence side, the search that shoot_refine
+    must reproduce bit for bit."""
+    cfg = cfg or IntegratorConfig()
+    eta_max = 3 * (cfg.eta_max if cfg.eta_max is not None
+                   else auto_eta_max(params))
+    side = lambda a: ivp._divergence_side(params, a, cfg, eta_max)[0]
+    lo, hi = sorted(map(float, bracket))
+    side_lo = side(lo)
+    assert side(hi) != side_lo
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if side(mid) == side_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@contextlib.contextmanager
+def counting_trajectories():
+    """Yield a one-item list holding the number of trajectories (one
+    `ivp.rhs` call each) integrated inside the block."""
+    original, count = ivp.rhs, [0]
+
+    def counted(params):
+        count[0] += 1
+        return original(params)
+    ivp.rhs = counted
+    try:
+        yield count
+    finally:
+        ivp.rhs = original
+
+
+def guided_and_reference(params, bracket, cfg=None):
+    """(alpha, trajectories) of shoot_refine, then of reference_bisection."""
+    with counting_trajectories() as n:
+        alpha = shoot_refine(params, bracket, cfg)
+    with counting_trajectories() as n_ref:
+        ref = reference_bisection(params, bracket, cfg)
+    return alpha, n[0], ref, n_ref[0]
+
+
+PAPER = ModelParams(2, 2, 1.8)
+# the brackets of TestShooting, and solve's alpha_star +- 5% at the paper case
+BRACKETS = [
+    (PAPER, (4.0, 4.4)),
+    (PAPER, (4.4, 4.0)),
+    (ModelParams(2, 1, 1), (2.0, 2.6)),
+    (ModelParams(2, 2, 1), (2.5, 3.2)),
+    (PAPER, (4.2041138908 * 0.95, 4.2041138908 * 1.05)),
+]
+
+
+class TestGuidedShooting:
+    @pytest.mark.parametrize("params,bracket", BRACKETS)
+    def test_same_float_as_bisection(self, params, bracket):
+        alpha, n, ref, n_ref = guided_and_reference(params, bracket)
+        assert alpha == ref
+        assert n <= n_ref
+
+    def test_paper_bracket_trajectories(self):
+        with counting_trajectories() as n:
+            shoot_refine(PAPER, (4.0, 4.4))
+        assert n[0] <= 14
+
+    @settings(max_examples=6, deadline=None)
+    @given(M=st.floats(1.2, 3.0),
+           m=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.5, 2.5)),
+           s=st.floats(1.0, 2.5))
+    def test_shoot_profile_family(self, M, m, s):
+        # the shoot-profile benchmark's points and brackets
+        params = ModelParams(M, m, s)
+        est = solve_general(params, 4).alpha_est
+        w = 0.1 * max(1.0, abs(est))
+        alpha, n, ref, n_ref = guided_and_reference(params, (est - w, est + w))
+        assert alpha == ref
+        assert n <= n_ref
+
+    @pytest.mark.parametrize("params,bracket", BRACKETS[:3])
+    def test_bisection_fallback(self, params, bracket, monkeypatch):
+        # no tail growth rate: every test is bisection's own midpoint
+        monkeypatch.setattr(ivp, "_tail_growth", lambda params, beta: None)
+        alpha, n, ref, n_ref = guided_and_reference(params, bracket)
+        assert alpha == ref
+        assert n == n_ref
+
+    def test_complex_decay_falls_back_to_bisection(self):
+        # no real N=1 decay rate: no guide, and eta_max must be given
+        params = ModelParams(0, 2, 0.5)
+        cfg = IntegratorConfig(eta_max=10.0)
+        alpha, n, ref, n_ref = guided_and_reference(params, (-1.5, -1.0), cfg)
+        assert alpha == ref
+        assert n == n_ref
+        with pytest.raises(ComplexDecay):
+            shoot_refine(params, (-1.5, -1.0))
+
+    def test_fixed_eta_max(self):
+        cfg = IntegratorConfig(eta_max=2.5)
+        alpha, n, ref, n_ref = guided_and_reference(PAPER, (4.0, 4.4), cfg)
+        assert alpha == ref
+        assert n <= n_ref
+
+    @pytest.mark.parametrize("bracket", [(math.nan, 4.4), (4.0, math.inf),
+                                         (-math.inf, 4.4)])
+    def test_nonfinite_bracket_rejected(self, bracket):
+        with pytest.raises(ValueError, match="bracket must be finite"):
+            shoot_refine(PAPER, bracket)
+
+    def test_tail_value_sign_is_side(self):
+        eta_max = 3 * auto_eta_max(PAPER)
+        growth = ivp._tail_growth(PAPER, solve_n1(PAPER).beta)
+        assert growth > 0
+        for alpha in (4.0, 4.2, 4.21, 4.4):
+            side, u = ivp._divergence_side(PAPER, alpha, IntegratorConfig(),
+                                           eta_max, growth)
+            assert side == (1 if u > 0 else -1)
+        assert math.isnan(ivp._divergence_side(
+            PAPER, 4.2, IntegratorConfig(), eta_max)[1])
