@@ -25,7 +25,9 @@ from .model import ModelParams
 
 
 class ComplexDecay(Exception):
-    """The N=1 discriminant 4M^2 + m^2 s^2 - 4m is negative."""
+    """No real, positive, finite N=1 decay rate: the discriminant
+    4M^2 + m^2 s^2 - 4m is negative, or the closed-form beta is not
+    positive, or it overflows."""
 
 
 class RequiresNonzeroM(Exception):
@@ -97,7 +99,10 @@ def _finish(params: ModelParams, beta: float, b) -> AnsatzSolution:
 def solve_n1(params: ModelParams) -> AnsatzSolution:
     """Closed-form N=1 solution: beta = (sqrt(4M^2 + m^2 s^2 - 4m) + ms)/2,
     b_1 = 1/beta, b_0 = s - 1/beta."""
-    M2 = params.M ** 2
+    try:
+        M2 = params.M ** 2
+    except OverflowError:  # |M| above ~1.3e154; beta is then inf or nan
+        M2 = math.inf
     m, s = params.m, params.s
     disc = 4 * M2 + m * m * s * s - 4 * m
     if disc < 0:
@@ -105,6 +110,8 @@ def solve_n1(params: ModelParams) -> AnsatzSolution:
     beta = (math.sqrt(disc) + m * s) / 2
     if beta <= 0:
         raise ComplexDecay(f"closed-form beta {beta:g} is not positive")
+    if not math.isfinite(beta):
+        raise ComplexDecay(f"closed-form beta {beta:g} is not finite")
     return _finish(params, beta, [s - 1 / beta, 1 / beta])
 
 

@@ -7,11 +7,17 @@ Subcommands:
               orders, ready for re-plotting.
   scan     -- parameter sweep; one CSV row per point.
 
+All three format the result of one pipeline, `_run`: the N=1 and N=2
+ansatz seeds, the Hankel alpha (unless `profile --alpha` gives it), the
+profile integrated from that alpha and the `STOP_ERRORS` member that
+stopped it, if any.
+
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
-(a flag value out of bounds prints `error: <message>` on stderr),
-2 computation finished without convergence or stopped on a named error
-(printed as `error: <Name>: <message>` on stderr).
+(a flag value out of bounds or past the float range prints
+`error: <message>` on stderr), 2 computation finished without
+convergence or stopped on a named error (printed as `error: <Name>:
+<message>` on stderr; `scan` writes the name in the row's status).
 """
 
 from __future__ import annotations
@@ -19,10 +25,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from . import ansatz, hankel, ivp
 from .model import ModelParams
+
+# the named errors that stop the pipeline: `solve` and `profile` report
+# them with exit code 2, `scan` as the status of the point's row
+STOP_ERRORS = (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,
+               ivp.StepUnderflow)
 
 
 class UsageError(Exception):
@@ -50,25 +63,26 @@ def _fmt(x) -> str:
 
 def _parse_exact(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from e
+    if abs(x) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"does not fit a float: {text!r}")
+    return x
 
 
 def _params(args) -> ModelParams:
     return ModelParams(M=float(args.M), m=float(args.m), s=float(args.s))
 
 
-def _add_param_flags(p):
+def _add_common_flags(p):
+    """Parameters, Hankel flags and --out, shared by every subcommand."""
     p.add_argument("--M", type=_parse_exact, required=True,
                    help="Hartmann number (decimal)")
     p.add_argument("--m", type=_parse_exact, required=True,
                    help="model parameter m (decimal)")
     p.add_argument("--s", type=_parse_exact, required=True,
                    help="suction parameter (decimal)")
-
-
-def _add_solver_flags(p):
     p.add_argument("--d", type=int, default=hankel.HankelConfig.d,
                    help="Hankel offset: entries f_{i+j+d}, i.e. H_D^(d+1) in "
                         "Hankel-Pade notation; -1 (default) starts at f_1")
@@ -76,6 +90,7 @@ def _add_solver_flags(p):
                    help="maximum Hankel dimension")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="bisection tolerance on alpha")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _ansatz_block(sol: ansatz.AnsatzSolution) -> dict:
@@ -86,70 +101,83 @@ def _ansatz_block(sol: ansatz.AnsatzSolution) -> dict:
     }
 
 
-def _solve_case(params: ModelParams, d: int, D_max: int, tol: float) -> dict:
-    warnings: list[str] = []
-    out: dict = {
-        "schema": 1,
-        "params": {"m_hartmann": _num(params.M), "m_coeff": _num(params.m),
-                   "s": _num(params.s)},
-    }
+def _max_dev(sol: ansatz.AnsatzSolution, prof: ivp.Profile) -> float:
+    """Largest |f'| gap between an ansatz and the profile on eta <= 5."""
+    return _num(max(abs(r[2] - ansatz.eval_ansatz(sol, r[0], 1))
+                    for r in prof.rows if r[0] <= 5.0))
 
-    a1 = ansatz.solve_n1(params)
-    out["ansatz1"] = _ansatz_block(a1)
+
+@dataclass
+class _Run:
+    """The pipeline's stage outputs; a stage that did not run leaves None."""
+    a1: Optional[ansatz.AnsatzSolution] = None
+    a2: Optional[ansatz.AnsatzSolution] = None
+    a2_error: Optional[Exception] = None  # why there is no N=2 solution
+    seq: Optional[hankel.RootSequence] = None
+    prof: Optional[ivp.Profile] = None
+    error: Optional[Exception] = None  # the STOP_ERRORS member that stopped it
+
+
+def _run(params: ModelParams, args, icfg: ivp.IntegratorConfig,
+         alpha: Optional[float] = None) -> _Run:
+    """Seeds (N=1, N=2) -> Hankel alpha, unless `alpha` is given ->
+    profile integrated from that alpha."""
+    run = _Run()
     try:
-        a2 = ansatz.solve_n2(params)
-        out["ansatz2"] = _ansatz_block(a2)
-    except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
-        a2 = None
-        out["ansatz2"] = {"error": type(e).__name__}
-        warnings.append(f"ansatz2: {type(e).__name__}: {e}")
-
-    cfg = _checked(hankel.HankelConfig, seed=a1.beta, d=d, D_max=D_max,
-                   tol=tol)
-    seq = hankel.alpha_sequence(params, cfg)
-    out["alpha_hankel"] = {
-        "value": _num(seq.alpha_star),
-        "converged": seq.converged,
-        "d_reached": seq.roots[-1][0],
-    }
-
-    try:
-        w = 0.05 * max(1.0, abs(seq.alpha_star))
-        out["alpha_shooting"] = _num(ivp.shoot_refine(
-            params, (seq.alpha_star - w, seq.alpha_star + w)))
-    except (ivp.BadBracket, ivp.Blowup, ivp.StepUnderflow) as e:
-        out["alpha_shooting"] = None
-        warnings.append(f"shooting: {type(e).__name__}: {e}")
-
-    prof = ivp.integrate(params, seq.alpha_star, ivp.IntegratorConfig())
-    dev1 = max(abs(r[2] - ansatz.eval_ansatz(a1, r[0], 1))
-               for r in prof.rows if r[0] <= 5.0)
-    agreement = {"ansatz1_max_dev": _num(dev1)}
-    if a2 is not None:
-        dev2 = max(abs(r[2] - ansatz.eval_ansatz(a2, r[0], 1))
-                   for r in prof.rows if r[0] <= 5.0)
-        agreement["ansatz2_max_dev"] = _num(dev2)
-    out["agreement"] = agreement
-    out["monotone_fp"] = ivp.monotonicity_report(prof).monotone
-    out["warnings"] = warnings
-    return out
+        run.a1 = ansatz.solve_n1(params)
+        try:
+            run.a2 = ansatz.solve_n2(params)
+        except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
+            run.a2_error = e
+        if alpha is None:
+            cfg = _checked(hankel.HankelConfig, seed=run.a1.beta, d=args.d,
+                           D_max=args.Dmax, tol=args.tol)
+            run.seq = hankel.alpha_sequence(params, cfg)
+            alpha = run.seq.alpha_star
+        run.prof = _checked(ivp.integrate, params, alpha, icfg)
+    except STOP_ERRORS as e:
+        run.error = e
+    return run
 
 
 def cmd_solve(args) -> int:
-    summary = _solve_case(_params(args), args.d, args.Dmax, args.tol)
-    text = json.dumps(summary, indent=2)
-    _write_out(args.out, text + "\n")
-    return 0 if summary["alpha_hankel"]["converged"] else 2
+    params = _params(args)
+    run = _run(params, args, ivp.IntegratorConfig())
+    if run.error:
+        raise run.error
+    seq, a2_error = run.seq, run.a2_error
+    warnings = [f"ansatz2: {type(a2_error).__name__}: {a2_error}"] if a2_error else []
+    try:
+        w = 0.05 * max(1.0, abs(seq.alpha_star))
+        alpha_shooting = _num(ivp.shoot_refine(
+            params, (seq.alpha_star - w, seq.alpha_star + w)))
+    except (ivp.BadBracket, ivp.Blowup, ivp.StepUnderflow) as e:
+        alpha_shooting = None
+        warnings.append(f"shooting: {type(e).__name__}: {e}")
+
+    out = {
+        "schema": 1,
+        "params": {"m_hartmann": _num(params.M), "m_coeff": _num(params.m),
+                   "s": _num(params.s)},
+        "ansatz1": _ansatz_block(run.a1),
+        "ansatz2": (_ansatz_block(run.a2) if run.a2
+                    else {"error": type(a2_error).__name__}),
+        "alpha_hankel": {
+            "value": _num(seq.alpha_star),
+            "converged": seq.converged,
+            "d_reached": seq.roots[-1][0],
+        },
+        "alpha_shooting": alpha_shooting,
+        "agreement": {f"ansatz{n}_max_dev": _max_dev(sol, run.prof)
+                      for n, sol in ((1, run.a1), (2, run.a2)) if sol},
+        "monotone_fp": ivp.monotonicity_report(run.prof).monotone,
+        "warnings": warnings,
+    }
+    _write_out(args.out, json.dumps(out, indent=2) + "\n")
+    return 0 if seq.converged else 2
 
 
 def cmd_profile(args) -> int:
-    params = _params(args)
-    a1 = ansatz.solve_n1(params)
-    try:
-        a2 = ansatz.solve_n2(params)
-    except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot):
-        a2 = None
-
     try:
         eta_max = None if args.eta_max == "auto" else float(args.eta_max)
     except ValueError:
@@ -158,19 +186,13 @@ def cmd_profile(args) -> int:
     # checked before the Hankel sequence, which takes seconds
     icfg = _checked(ivp.IntegratorConfig, eta_max=eta_max,
                     sample_stride=args.stride)
-
-    if args.alpha is not None:
-        alpha = float(args.alpha)
-    else:
-        cfg = _checked(hankel.HankelConfig, seed=a1.beta, d=args.d,
-                       D_max=args.Dmax, tol=args.tol)
-        alpha = hankel.alpha_sequence(params, cfg).alpha_star
-
-    prof = _checked(ivp.integrate, params, alpha, icfg)
+    run = _run(_params(args), args, icfg, args.alpha)
+    if run.error:
+        raise run.error
     lines = ["eta,fp_numeric,fp_ansatz1,fp_ansatz2"]
-    for eta, _, fp, _ in prof.rows:
-        c1 = _fmt(ansatz.eval_ansatz(a1, eta, 1))
-        c2 = _fmt(ansatz.eval_ansatz(a2, eta, 1)) if a2 is not None else ""
+    for eta, _, fp, _ in run.prof.rows:
+        c1 = _fmt(ansatz.eval_ansatz(run.a1, eta, 1))
+        c2 = _fmt(ansatz.eval_ansatz(run.a2, eta, 1)) if run.a2 else ""
         lines.append(f"{_fmt(eta)},{_fmt(fp)},{c1},{c2}")
     _write_out(args.out, "\n".join(lines) + "\n")
     return 0
@@ -178,8 +200,7 @@ def cmd_profile(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 1
+        raise UsageError("--count must be >= 1")
     base = {"M": float(args.M), "m": float(args.m), "s": float(args.s)}
     # exact grid: in floats the midpoint of 1.85 .. 2.45 is
     # 2.1500000000000004, which the exact arithmetic would take literally
@@ -190,34 +211,18 @@ def cmd_scan(args) -> int:
     lines = ["sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,"
              "monotone,status"]
     for v in values:
-        kw = dict(base)
-        kw[args.sweep] = float(v)
-        params = ModelParams(**kw)
-        status = "ok"
-        alpha_h = a1v = a2v = ""
-        mono = ""
-        try:
-            a1 = ansatz.solve_n1(params)
-            a1v = _fmt(a1.alpha_est)
-        except ansatz.ComplexDecay:
-            status = "ComplexDecay"
-            lines.append(f"{args.sweep},{_fmt(v)},,,,{mono},{status}")
-            continue
-        try:
-            a2v = _fmt(ansatz.solve_n2(params).alpha_est)
-        except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
-            status = type(e).__name__
-        try:
-            cfg = _checked(hankel.HankelConfig, seed=a1.beta, d=args.d,
-                           D_max=args.Dmax, tol=args.tol)
-            seq = hankel.alpha_sequence(params, cfg)
-            alpha_h = _fmt(seq.alpha_star)
-            prof = ivp.integrate(params, seq.alpha_star, ivp.IntegratorConfig())
-            mono = str(ivp.monotonicity_report(prof).monotone).lower()
-        except (hankel.NoSignChange, ivp.Blowup, ivp.StepUnderflow) as e:
-            status = type(e).__name__
-        lines.append(f"{args.sweep},{_fmt(v)},{alpha_h},{a1v},{a2v},"
-                     f"{mono},{status}")
+        params = ModelParams(**{**base, args.sweep: float(v)})
+        run = _run(params, args, ivp.IntegratorConfig())
+        # a column is blank when its stage did not run
+        status = run.error or run.a2_error
+        lines.append(",".join([
+            args.sweep, _fmt(v),
+            _fmt(run.seq.alpha_star) if run.seq else "",
+            _fmt(run.a1.alpha_est) if run.a1 else "",
+            _fmt(run.a2.alpha_est) if run.a2 else "",
+            str(ivp.monotonicity_report(run.prof).monotone).lower()
+            if run.prof else "",
+            type(status).__name__ if status else "ok"]))
     _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -237,31 +242,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="determine f''(0) and summarize")
-    _add_param_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    _add_common_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", help="CSV profile of f'(eta)")
-    _add_param_flags(p)
-    _add_solver_flags(p)
+    _add_common_flags(p)
     p.add_argument("--alpha", type=float, default=None,
                    help="use this f''(0) instead of solving for it")
     p.add_argument("--eta-max", dest="eta_max", default="auto",
                    help="integration endpoint, decimal or 'auto'")
     p.add_argument("--stride", type=float, default=0.01,
                    help="output sampling interval in eta")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("scan", help="sweep one parameter")
-    _add_param_flags(p)
-    _add_solver_flags(p)
+    _add_common_flags(p)
     p.add_argument("--sweep", choices=("M", "m", "s"), required=True)
     p.add_argument("--start", type=_parse_exact, required=True)
     p.add_argument("--stop", type=_parse_exact, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
     return ap
 
@@ -277,8 +276,7 @@ def main(argv=None) -> int:
     except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,
-            ivp.StepUnderflow) as e:
+    except STOP_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

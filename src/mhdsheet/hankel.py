@@ -38,6 +38,12 @@ except ImportError:  # pragma: no cover
         return x
 
 
+# the sequence settles when 3 consecutive |alpha_D - alpha_prev| fall
+# below this; the exact-crossing scatter is ~1e-6, so the bisection tol is
+# not a usable yardstick here
+SEQ_TOL = 3e-5
+
+
 class NoSignChange(Exception):
     """The scan found no determinant sign change in the bracket."""
 
@@ -58,10 +64,6 @@ class HankelConfig:
     bracket_halfwidth: float = 0.0  # 0 -> default 0.5*|seed|
     tol: float = 1e-10
     scan_points: int = 129
-    # sequence settles when 3 consecutive |alpha_D - alpha_prev| fall below
-    # this; the exact-crossing scatter is ~1e-6, so the bisection tol is
-    # not a usable yardstick here
-    seq_tol: float = 3e-5
 
     def __post_init__(self):
         if self.d < -1:
@@ -205,13 +207,15 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
     """
     w = cfg.halfwidth
     n = cfg.scan_points
-    # snap the scan onto a power-of-two grid: short dyadic evaluation
-    # points keep the exact determinant arithmetic cheap, and bisection
-    # midpoints then grow only one bit per step
-    g = max(0, -math.floor(math.log2(2 * w / (n - 1))))
+    # snap the scan onto a power-of-two grid of spacing 2^-g: short dyadic
+    # evaluation points keep the exact determinant arithmetic cheap, and
+    # bisection midpoints then grow only one bit per step; g < 0 (spacing
+    # 2, 4, ...) keeps a wide bracket at about n points
+    g = -math.floor(math.log2(2 * w / (n - 1)))
     lo_i = math.floor((guess - w) * 2 ** g)
     hi_i = math.ceil((guess + w) * 2 ** g)
-    pts = [Fraction(i, 2 ** g) for i in range(lo_i, hi_i + 1)]
+    step = Fraction(2) ** -g
+    pts = [i * step for i in range(lo_i, hi_i + 1)]
     n = len(pts)
     signs = [det_sign_at(table, cfg.d, D, p) for p in pts]
 
@@ -258,7 +262,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
     available the search bracket is shrunk to the recent step size, which
     both keeps the exact arithmetic affordable at large D and excludes
     spurious far-away roots from derailing the continuation. Stops early
-    when three consecutive deltas fall below cfg.seq_tol.
+    when three consecutive deltas fall below SEQ_TOL.
     """
     table = taylor_table(params, 2 * cfg.D_max + cfg.d)
     seq = RootSequence()
@@ -285,7 +289,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
         seq.roots.append((D, root))
         guess = root
 
-        if len(seq.deltas) >= 3 and all(dl < cfg.seq_tol for dl in seq.deltas[-3:]):
+        if len(seq.deltas) >= 3 and all(dl < SEQ_TOL for dl in seq.deltas[-3:]):
             seq.converged = True
             break
 

@@ -80,6 +80,13 @@ class TestN1:
         with pytest.raises(ComplexDecay):
             solve_n1(ModelParams(M=0.1, m=2, s=0.1))
 
+    @pytest.mark.parametrize("M, m, s", [(1e200, 2, 1.8), (2, 2, 1e200),
+                                         (2, 1e200, 1.8), (2, 1e200, 0.0)])
+    def test_overflowing_decay_rate_is_complex_decay(self, M, m, s):
+        # M^2 overflows, or m^2 s^2 does: beta is inf or nan, never finite
+        with pytest.raises(ComplexDecay):
+            solve_n1(ModelParams(M=M, m=m, s=s))
+
     @given(st.floats(0.5, 5), st.floats(-2, 3), st.floats(-2, 2))
     @settings(max_examples=60, deadline=None)
     def test_mode1_vanishes_whenever_defined(self, M, m, s):

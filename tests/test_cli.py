@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mhdsheet import HankelConfig
+from mhdsheet import HankelConfig, ansatz, hankel, ivp
 from mhdsheet.cli import build_parser, main
 
 from conftest import PAPER_ALPHA
@@ -192,3 +192,70 @@ class TestParser:
             args = build_parser().parse_args(
                 [command, "--M", "2", "--m", "2", "--s", "1.8", *extra])
             assert args.d == HankelConfig(seed=4.0).d == -1
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--M", "1e400", "--m", "2", "--s", "1.8"], 1, "does not fit a float"),
+    (["--M", "1e200", "--m", "2", "--s", "1.8"], 2, "error: ComplexDecay: "),
+    (["--M", "2", "--m", "2", "--s", "1e200"], 2, "error: ComplexDecay: "),
+    (["--M", "2", "--m", "1e200", "--s", "1.8"], 2, "error: ComplexDecay: "),
+], ids=["M-1e400", "M-1e200", "s-1e200", "m-1e200"])
+def test_overflowing_parameter_is_named_error(argv, code, message, capsys):
+    assert main(["solve", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [l for l in captured.err.splitlines() if "error:" in l]
+    assert len(errors) == 1
+    assert message in errors[0]
+
+
+class TestScanRow:
+    """Scan columns and status precedence, with the slow stages stubbed:
+    a column is blank when its stage did not run, and the status is the
+    error that stopped the point, else the N=2 error, else ok."""
+
+    SEQ = hankel.RootSequence(roots=[(2, 4.0)], converged=True, alpha_star=4.0)
+
+    @staticmethod
+    def fake_profile(params, alpha, cfg):
+        return ivp.Profile(rows=[(0.0, params.s, -1.0, alpha),
+                                 (1.0, params.s, 0.0, 0.0)],
+                           alpha_used=alpha, tail_fp=0.0)
+
+    def row(self, monkeypatch, capsys, m, alpha_sequence, integrate=None):
+        monkeypatch.setattr(hankel, "alpha_sequence", alpha_sequence)
+        monkeypatch.setattr(ivp, "integrate", integrate or self.fake_profile)
+        assert main(["scan", "--M", "2", "--m", m, "--s", "1.8", "--sweep",
+                     "M", "--start", "2", "--stop", "2", "--count", "1"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        return dict(zip(header.split(","), row.split(",")))
+
+    @staticmethod
+    def raises(error):
+        def stage(*args):
+            raise error("stub")
+        return stage
+
+    def test_n2_error_shows_when_hankel_succeeds(self, monkeypatch, capsys):
+        row = self.row(monkeypatch, capsys, "0", lambda params, cfg: self.SEQ)
+        assert (row["alpha_hankel"], row["alpha_ansatz2"]) == ("4", "")
+        assert (row["monotone"], row["status"]) == ("true", "RequiresNonzeroM")
+
+    def test_hankel_error_overrides_n2_error(self, monkeypatch, capsys):
+        row = self.row(monkeypatch, capsys, "0",
+                       self.raises(hankel.NoSignChange))
+        assert row["alpha_ansatz1"]
+        assert (row["alpha_hankel"], row["monotone"]) == ("", "")
+        assert row["status"] == "NoSignChange"
+
+    def test_blowup_keeps_hankel_alpha(self, monkeypatch, capsys):
+        row = self.row(monkeypatch, capsys, "2", lambda params, cfg: self.SEQ,
+                       self.raises(ivp.Blowup))
+        assert (row["alpha_hankel"], row["monotone"]) == ("4", "")
+        assert row["status"] == "Blowup"
+
+    def test_complex_decay_blanks_every_column(self, monkeypatch, capsys):
+        monkeypatch.setattr(ansatz, "solve_n1", self.raises(ansatz.ComplexDecay))
+        row = self.row(monkeypatch, capsys, "2", lambda params, cfg: self.SEQ)
+        assert list(row.values()) == ["M", "2", "", "", "", "", "ComplexDecay"]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,32 @@ class TestFindRoot:
         cfg = HankelConfig(seed=50.0, bracket_halfwidth=0.25)
         with pytest.raises(NoSignChange):
             find_root(tab, cfg, D=2, guess=50.0)
+
+    def test_wide_bracket_scans_about_scan_points(self, monkeypatch):
+        # seed 20000, half-width 10000: the grid spacing grows to 2^7, so
+        # the scan stays near scan_points instead of 2w+1 unit steps
+        params = ModelParams(M=20000.0, m=2.0, s=1.8)
+        cfg = HankelConfig(seed=20000.0)
+        tab = taylor_table(params, 2 * 2 + cfg.d)
+        points = []
+        real = hankel.det_sign_at
+
+        def counted(table, d, D, alpha):
+            points.append(alpha)
+            return real(table, d, D, alpha)
+
+        monkeypatch.setattr(hankel, "det_sign_at", counted)
+        try:
+            find_root(tab, cfg, 2, cfg.seed)
+        except NoSignChange:
+            pass
+        # spacing h in (q/2, q], q = 2w/(n-1), gives at most 2n grid points;
+        # bisection from h down to tol adds log2(h/tol) + 1 more
+        w, n = cfg.halfwidth, cfg.scan_points
+        bisection = math.ceil(math.log2(2 * w / (n - 1) / cfg.tol)) + 1
+        assert len(points) <= 2 * n + bisection
+        assert all(isinstance(p, Fraction) for p in points)
+        assert all(p.denominator & (p.denominator - 1) == 0 for p in points)
 
 
 class TestAlphaSequence:
