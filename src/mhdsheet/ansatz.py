@@ -35,7 +35,8 @@ class RequiresNonzeroM(Exception):
 
 
 class NoPhysicalRoot(Exception):
-    """No real beta > 0 with a decaying coefficient sequence |b_2| < |b_1|."""
+    """No real beta > 0 with a decaying coefficient sequence |b_2| < |b_1|,
+    or the quartic for beta overflows."""
 
 
 class NoConvergence(Exception):
@@ -147,6 +148,8 @@ def solve_n2(params: ModelParams) -> AnsatzSolution:
     if params.m == 0:
         raise RequiresNonzeroM("the N=2 coefficient formulas divide by m")
     coeffs = _quartic_coeffs(params)
+    if not all(math.isfinite(c) for c in coeffs):
+        raise NoPhysicalRoot("the N=2 quartic's coefficients overflow")
     roots = np.roots(coeffs)
     poly = np.polynomial.Polynomial(coeffs[::-1])
     dpoly = poly.deriv()

@@ -15,9 +15,10 @@ stopped it, if any.
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
 (a flag value out of bounds or past the float range prints
-`error: <message>` on stderr), 2 computation finished without
-convergence or stopped on a named error (printed as `error: <Name>:
-<message>` on stderr; `scan` writes the name in the row's status).
+`error: <message>` on stderr; every flag is checked before any stage
+runs), 2 computation finished without convergence or stopped on a named
+error (printed as `error: <Name>: <message>` on stderr; `scan` writes
+the name in the row's status).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -75,6 +76,13 @@ def _params(args) -> ModelParams:
     return ModelParams(M=float(args.M), m=float(args.m), s=float(args.s))
 
 
+def _hankel_config(args) -> hankel.HankelConfig:
+    """The Hankel flags, checked before any stage runs; `_run` sets the
+    seed from the N=1 ansatz."""
+    return _checked(hankel.HankelConfig, seed=0.0, d=args.d, D_max=args.Dmax,
+                    tol=args.tol)
+
+
 def _add_common_flags(p):
     """Parameters, Hankel flags and --out, shared by every subcommand."""
     p.add_argument("--M", type=_parse_exact, required=True,
@@ -118,8 +126,8 @@ class _Run:
     error: Optional[Exception] = None  # the STOP_ERRORS member that stopped it
 
 
-def _run(params: ModelParams, args, icfg: ivp.IntegratorConfig,
-         alpha: Optional[float] = None) -> _Run:
+def _run(params: ModelParams, hcfg: hankel.HankelConfig,
+         icfg: ivp.IntegratorConfig, alpha: Optional[float] = None) -> _Run:
     """Seeds (N=1, N=2) -> Hankel alpha, unless `alpha` is given ->
     profile integrated from that alpha."""
     run = _Run()
@@ -130,9 +138,7 @@ def _run(params: ModelParams, args, icfg: ivp.IntegratorConfig,
         except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
             run.a2_error = e
         if alpha is None:
-            cfg = _checked(hankel.HankelConfig, seed=run.a1.beta, d=args.d,
-                           D_max=args.Dmax, tol=args.tol)
-            run.seq = hankel.alpha_sequence(params, cfg)
+            run.seq = hankel.alpha_sequence(params, replace(hcfg, seed=run.a1.beta))
             alpha = run.seq.alpha_star
         run.prof = _checked(ivp.integrate, params, alpha, icfg)
     except STOP_ERRORS as e:
@@ -142,7 +148,7 @@ def _run(params: ModelParams, args, icfg: ivp.IntegratorConfig,
 
 def cmd_solve(args) -> int:
     params = _params(args)
-    run = _run(params, args, ivp.IntegratorConfig())
+    run = _run(params, _hankel_config(args), ivp.IntegratorConfig())
     if run.error:
         raise run.error
     seq, a2_error = run.seq, run.a2_error
@@ -186,7 +192,7 @@ def cmd_profile(args) -> int:
     # checked before the Hankel sequence, which takes seconds
     icfg = _checked(ivp.IntegratorConfig, eta_max=eta_max,
                     sample_stride=args.stride)
-    run = _run(_params(args), args, icfg, args.alpha)
+    run = _run(_params(args), _hankel_config(args), icfg, args.alpha)
     if run.error:
         raise run.error
     lines = ["eta,fp_numeric,fp_ansatz1,fp_ansatz2"]
@@ -201,6 +207,7 @@ def cmd_profile(args) -> int:
 def cmd_scan(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
+    hcfg = _hankel_config(args)
     base = {"M": float(args.M), "m": float(args.m), "s": float(args.s)}
     # exact grid: in floats the midpoint of 1.85 .. 2.45 is
     # 2.1500000000000004, which the exact arithmetic would take literally
@@ -212,7 +219,7 @@ def cmd_scan(args) -> int:
              "monotone,status"]
     for v in values:
         params = ModelParams(**{**base, args.sweep: float(v)})
-        run = _run(params, args, ivp.IntegratorConfig())
+        run = _run(params, hcfg, ivp.IntegratorConfig())
         # a column is blank when its stage did not run
         status = run.error or run.a2_error
         lines.append(",".join([

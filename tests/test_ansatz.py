@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhdsheet import (AnsatzSolution, ComplexDecay, IntegratorConfig,
-                      ModelParams, NoConvergence, RequiresNonzeroM,
+                      ModelParams, NoConvergence, NoPhysicalRoot, RequiresNonzeroM,
                       eval_ansatz, integrate, residual_modes, solve_general,
                       solve_n1, solve_n2)
 from mhdsheet.ansatz import _modes
@@ -108,6 +108,11 @@ class TestN2:
         # closer to the reference alpha than N=1
         n1 = solve_n1(paper_params)
         assert abs(sol.alpha_est - PAPER_ALPHA) < abs(n1.alpha_est - PAPER_ALPHA)
+
+    def test_overflowing_quartic_is_no_physical_root(self):
+        # beta ~ 1e100 is finite, but the quartic's M^4 term overflows
+        with pytest.raises(NoPhysicalRoot, match="overflow"):
+            solve_n2(ModelParams(M=1e100, m=2, s=1.8))
 
     def test_boundary_and_first_modes(self, paper_params):
         sol = solve_n2(paper_params)

@@ -89,6 +89,17 @@ class TestProfile:
         assert all(l.endswith(",") for l in lines)
 
 
+    def test_ansatz2_column_blank_when_quartic_overflows(self, capsys):
+        # M = 1e100: the N=2 quartic overflows, which is NoPhysicalRoot
+        code = main(["profile", "--M", "1e100", "--m", "2", "--s", "1.8",
+                     "--alpha", "1e100"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        lines = captured.out.strip().split("\n")[1:]
+        assert lines and all(l.endswith(",") for l in lines)
+
+
 class TestScan:
     def test_sweep_s(self, capsys):
         code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
@@ -162,7 +173,12 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["profile", *PAPER, "--stride", "0"],
     ["profile", *PAPER, "--eta-max", "abc"],
     ["profile", *PAPER, "--alpha", "nan"],
-], ids=["d", "Dmax", "tol", "stride", "eta-max", "alpha"])
+    # checked before the N=1 seed, which has no real root here
+    ["solve", "--M", "0", "--m", "2", "--s", "0.5", "--d", "-2"],
+    ["scan", "--M", "0.1", "--m", "2", "--s", "0.1", "--sweep", "M",
+     "--start", "0.1", "--stop", "0.2", "--count", "2", "--d", "-2"],
+], ids=["d", "Dmax", "tol", "stride", "eta-max", "alpha", "d-before-seed",
+        "scan-d-before-seed"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -150,13 +151,86 @@ class TestCondensation:
         assert len(calls) == 1
 
     def test_matches_bareiss_on_paper_table(self, paper_params):
-        tab = taylor_table(paper_params, 25)
-        for D in (5, 8, 12):
-            for alpha in (Fraction(4204113, 2 ** 20), Fraction(-7, 3),
-                          Fraction(4204113, 10 ** 6)):
+        # the paper table, and one with q = 10^4 (odd-prime lines at 5)
+        alphas = (Fraction(4204113, 2 ** 20), Fraction(70533023, 2 ** 24),
+                  Fraction(-70533023, 2 ** 24), Fraction(-7, 3),
+                  Fraction(4204113, 10 ** 6))
+        for params in (paper_params, ModelParams(M=1.31, m=0.0, s=1.29)):
+            tab = taylor_table(params, 25)
+            for d, D, alpha in itertools.product((-1, 0, 1), (5, 8, 12), alphas):
                 rows = [[p(alpha) for p in row]
-                        for row in hankel_entries(tab, 1, D)]
-                assert det_sign_at(tab, 1, D, alpha) == _bareiss_sign(_int_matrix(rows))
+                        for row in hankel_entries(tab, d, D)]
+                assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
+
+
+def _assert_positive_geometric_scaling(c, f):
+    """c_t = K r^t f_t for some rationals K, r > 0, checked on the
+    nonzero f_t (three of them t < u < w must satisfy
+    rho_u^(w-t) = rho_t^(w-u) rho_w^(u-t) with rho = c / f)."""
+    assert [x == 0 for x in c] == [x == 0 for x in f]
+    rho = [(t, Fraction(int(x)) / y) for t, (x, y) in enumerate(zip(c, f)) if y]
+    assert all(r > 0 for _, r in rho)
+    for (t, a), (u, b), (w, e) in zip(rho, rho[1:], rho[2:]):
+        assert b ** (w - t) == a ** (w - u) * e ** (u - t)
+
+
+@st.composite
+def scaled_tables(draw):
+    """Synthetic tables whose entry denominators carry powers of 2, 3, 5
+    and 7 that grow with the index, with some entries forced to zero, and
+    a dyadic, non-dyadic or negative alpha."""
+    d = draw(st.integers(-1, 1))
+    D = draw(st.integers(1, 6))
+    ratio = draw(st.sampled_from([1, 2, 3, 10, 12, 35]))
+    entries = []
+    for k in range(2 * D + d + 1):
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
+        dens = draw(st.lists(st.sampled_from([1, 2, 3, 5, 7, 9, 25]),
+                             min_size=len(coeffs), max_size=len(coeffs)))
+        entries.append([Fraction(x, den * ratio ** k) for x, den in zip(coeffs, dens)])
+    for k in draw(st.lists(st.integers(d + 2, 2 * D + d), max_size=D)):
+        entries[k] = [0]
+    alpha = draw(st.one_of(
+        st.builds(Fraction, st.integers(-2 ** 26, 2 ** 26), st.just(2 ** 24)),
+        st.builds(Fraction, st.integers(-50, 50), st.sampled_from([3, 7, 10 ** 6])),
+    ))
+    return synthetic_table(entries), d, D, alpha
+
+
+class TestRescaledSequence:
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_tables())
+    def test_sign_kept_and_scaling_exact(self, case):
+        tab, d, D, alpha = case
+        rows = [[p(alpha) for p in row] for row in hankel_entries(tab, d, D)]
+        assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
+        c = hankel._hankel_sequence(tab, d, D, alpha)
+        assert all(int(x) == x for x in c)
+        _assert_positive_geometric_scaling(
+            c, [tab.entries[t + d + 2](alpha) for t in range(2 * D - 1)])
+
+    def test_paper_table_scaling_exact(self, paper_params):
+        tab = taylor_table(paper_params, 40)
+        for alpha in (Fraction(70533023, 2 ** 24), Fraction(4204113, 10 ** 6)):
+            c = hankel._hankel_sequence(tab, -1, 20, alpha)
+            _assert_positive_geometric_scaling(
+                c, [tab.entries[t + 1](alpha) for t in range(39)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=9).flatmap(
+        lambda vs: st.tuples(
+            st.lists(st.integers(0, 20), min_size=len(vs), max_size=len(vs),
+                     unique=True).map(sorted),
+            st.just(vs))))
+    def test_best_line_is_optimal(self, points):
+        ts, vs = points
+        A, s = hankel._best_line(ts, vs)
+        assert all(A + s * t <= v for t, v in zip(ts, vs))
+        # no integer line under the points removes more: slopes beyond
+        # the largest |v| step are no better than the hull's
+        best = max(len(ts) * min(v - k * t for t, v in zip(ts, vs)) + k * sum(ts)
+                   for k in range(-13, 14))
+        assert len(ts) * A + s * sum(ts) == best
 
 
 class TestFindRoot:
@@ -236,6 +310,39 @@ class TestAlphaSequence:
         with pytest.raises(NoSignChange) as exc:
             alpha_sequence(ModelParams(2, 2, 1.8), cfg)
         assert exc.value.D is not None
+
+    def test_default_offset_paper_sequence_is_frozen(self, paper_params):
+        # recorded at d=-1 (first entry f_1) with signs from condensation
+        # on the unrescaled integer sequence
+        cfg = HankelConfig(seed=solve_n1(paper_params).beta, D_max=30)
+        seq = alpha_sequence(paper_params, cfg)
+        assert seq.roots == [
+            (2, 3.0547236990823876), (3, 4.836427256843308),
+            (4, 4.093770250823582), (6, 4.2185416883730795),
+            (7, 4.2000205942604225), (8, 4.195279764622683),
+            (9, 4.19551922447863), (11, 4.197271026758244),
+            (12, 4.204185436334228), (13, 4.204085586447036),
+            (14, 4.2040800288377795), (15, 4.204118485242361),
+            (16, 4.204114642197965), (17, 4.204114846914308),
+            (18, 4.20411389079527)]
+        assert seq.skipped == [5, 10]
+        assert seq.alpha_star == 4.20411389079527
+
+    def test_denominator_100_sequence_is_frozen(self):
+        # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry
+        # powers of 5 as well as 2; recorded as above
+        params = ModelParams(M=1.31, m=0.0, s=1.29)
+        cfg = HankelConfig(seed=solve_n1(params).beta, D_max=14)
+        seq = alpha_sequence(params, cfg)
+        assert seq.roots == [
+            (2, 0.6909413868270349), (3, 1.0707040677953046),
+            (4, 1.020361842791317), (5, 1.024747945688432),
+            (7, 1.0426847645721864), (8, 0.6430757200287189),
+            (9, 1.0023759284231346), (10, 0.6715154775592964),
+            (11, 1.0244198262516875), (12, 1.038834360515466),
+            (13, 1.0244138091511559), (14, 1.0113338348164689)]
+        assert seq.skipped == [6]
+        assert seq.alpha_star == 1.024747945688432
 
     def test_paper_case_sequence_is_frozen(self, paper_params):
         # recorded with signs from Bareiss elimination alone; any exact
