@@ -2,7 +2,15 @@
 
 The third-order ODE is integrated as the first-order system
 (f, f', f'')' = (f', f'', M^2 f' + f'^2 - m f f'') from eta = 0 with
-f(0) = s, f'(0) = -1, f''(0) = alpha. Profiles carry extrema of f'
+f(0) = s, f'(0) = -1, f''(0) = alpha, either by fixed-step classical RK4
+or by the adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6). The adaptive
+stepper `_dopri` works on plain float tuples. It copies scipy's RK45
+(coefficients, error norm, step controller, initial step, events that
+fire on a sign change), so it takes the steps scipy's RK45 solver
+takes, up to the rounding of its sums: numpy's dot products may fuse
+multiply-adds. It builds a step's quartic dense output only where a
+sample, an extremum or an event needs it. Profiles carry extrema of f'
 (sign changes of f'', refined by bisection) so the presence or absence
 of an interior maximum can be checked directly.
 
@@ -15,12 +23,10 @@ is plain bisection's float in fewer trajectories.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
-from scipy.integrate import solve_ivp
+from typing import Callable, Optional, Sequence
 
 from .model import ModelParams
 from . import ansatz
@@ -101,21 +107,197 @@ def auto_eta_max(params: ModelParams) -> float:
     return 10.0 / ansatz.solve_n1(params).beta
 
 
-def _rk4_step(f: Callable, eta: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = np.asarray(f(eta, y))
-    k2 = np.asarray(f(eta + h / 2, y + h / 2 * k1))
-    k3 = np.asarray(f(eta + h / 2, y + h / 2 * k2))
-    k4 = np.asarray(f(eta + h, y + h * k3))
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_step(f: Callable, eta: float, y: Sequence[float],
+              h: float) -> tuple[float, ...]:
+    k1 = f(eta, y)
+    k2 = f(eta + h / 2, [a + h / 2 * b for a, b in zip(y, k1)])
+    k3 = f(eta + h / 2, [a + h / 2 * b for a, b in zip(y, k2)])
+    k4 = f(eta + h, [a + h * b for a, b in zip(y, k3)])
+    return tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
-def _sample_grid(eta_max: float, stride: float) -> np.ndarray:
+# Dormand-Prince 5(4) (Dormand & Prince 1980) with the dense output of
+# Shampine (1986), the coefficients of scipy's RK45: nodes of stages 2-6,
+# their rows of the Runge-Kutta matrix, the 5th-order weights (stage 2's
+# is 0), the error weights E (5th minus 4th order, over stages 1-7) and the
+# interpolation matrix P (one row per stage, one column per power of x).
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
+_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0, 0, 0, 0),
+      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0, 40617522 / 29380423, -110615467 / 29380423,
+       69997945 / 29380423))
+# step-size controller: the error estimate is 4th order, so the step
+# scales by err^(-1/5)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
+
+# an event: (g, direction); it fires when g(y) changes sign across an
+# accepted step, upward only (+1), downward only (-1) or either way (0)
+_Event = tuple[Callable[[Sequence[float]], float], int]
+# an accepted step: (t_old, t, y_old, stage derivatives k1..k7)
+_Step = tuple[float, float, tuple, tuple]
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+
+
+def _initial_step(f, y, k, t_end, rtol, atol) -> float:
+    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+    for a 4th-order error estimate."""
+    scale = [atol + abs(a) * rtol for a in y]
+    d0 = _rms([a / c for a, c in zip(y, scale)])
+    d1 = _rms([b / c for b, c in zip(k, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    k0 = f(h0, [a + h0 * b for a, b in zip(y, k)])
+    d2 = _rms([(b0 - b) / c for b0, b, c in zip(k0, k, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _interpolant(step: _Step) -> Callable[[float], tuple]:
+    """The quartic dense output y(t) on one accepted step."""
+    t_old, t, y_old, k = step
+    h = t - t_old
+    q = [[sum(kj[i] * pj[c] for kj, pj in zip(k, _P)) for c in range(4)]
+         for i in range(len(y_old))]
+
+    def at(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return tuple(a + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4)
+                     for a, (q0, q1, q2, q3) in zip(y_old, q))
+    return at
+
+
+def _crossing(g: Callable[[float], float], a: float, b: float) -> float:
+    """A zero of g in [a, b], where g(a) and g(b) differ in sign, by
+    bisection down to adjacent floats."""
+    ga = g(a)
+    if ga == 0:
+        return a
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return b
+        gm = g(mid)
+        if gm == 0:
+            return mid
+        if (gm > 0) == (ga > 0):
+            a = mid
+        else:
+            b = mid
+
+
+def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
+           atol: float, events: Sequence[_Event] = (),
+           steps: Optional[list] = None) -> tuple[float, tuple, Optional[int]]:
+    """Integrate y' = f(t, y) from t = 0 to t_end by Dormand-Prince 5(4),
+    step for step as scipy's RK45: RMS error norm with the scale
+    atol + max(|y|, |y_new|) rtol, safety factor 0.9, step factor within
+    [0.2, 10] and no growth right after a rejection.
+
+    Stops at the first event that fires, located on the step's dense
+    output, and returns (t, y, index of that event); without one it
+    returns (t_end, y(t_end), None). Each accepted step is appended to
+    `steps` when given. Raises StepUnderflow when the step would fall
+    below 10 ulp(t), which a nan derivative also leads to."""
+    t = 0.0
+    y = tuple(y)
+    k1 = f(t, y)
+    h_abs = _initial_step(f, y, k1, t_end, rtol, atol)
+    g_old = [g(y) for g, _ in events]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    c2, c3, c4, c5, _ = _C
+    while t < t_end:
+        min_step = 10 * math.ulp(t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:   # nan fails too
+                raise StepUnderflow("Required step size is less than "
+                                    "spacing between numbers.")
+            t_new = t + h_abs
+            if t_new > t_end:
+                t_new = t_end
+            h = t_new - t
+            k2 = f(t + c2 * h, [a + (u1 * a21) * h for a, u1 in zip(y, k1)])
+            k3 = f(t + c3 * h, [a + (u1 * a31 + u2 * a32) * h
+                                for a, u1, u2 in zip(y, k1, k2)])
+            k4 = f(t + c4 * h, [a + (u1 * a41 + u2 * a42 + u3 * a43) * h
+                                for a, u1, u2, u3 in zip(y, k1, k2, k3)])
+            k5 = f(t + c5 * h,
+                   [a + (u1 * a51 + u2 * a52 + u3 * a53 + u4 * a54) * h
+                    for a, u1, u2, u3, u4 in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + h, [a + (u1 * a61 + u2 * a62 + u3 * a63 + u4 * a64
+                                + u5 * a65) * h
+                           for a, u1, u2, u3, u4, u5
+                           in zip(y, k1, k2, k3, k4, k5)])
+            y_new = tuple(a + h * (u1 * b1 + u3 * b3 + u4 * b4 + u5 * b5
+                                   + u6 * b6)
+                          for a, u1, u3, u4, u5, u6
+                          in zip(y, k1, k3, k4, k5, k6))
+            k7 = f(t + h, y_new)
+            err = _rms([(u1 * e1 + u3 * e3 + u4 * e4 + u5 * e5 + u6 * e6
+                         + u7 * e7) * h / (atol + max(abs(a), abs(b)) * rtol)
+                        for a, b, u1, u3, u4, u5, u6, u7
+                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+            rejected = True
+        step = (t, t_new, y, (k1, k2, k3, k4, k5, k6, k7))
+        if steps is not None:
+            steps.append(step)
+        g_new = [g(y_new) for g, _ in events]
+        fired = [i for i, (go, gn, (_, d)) in enumerate(zip(g_old, g_new, events))
+                 if (d >= 0 and go <= 0 <= gn) or (d <= 0 and go >= 0 >= gn)]
+        if fired:
+            at = _interpolant(step)
+            t_e, i = min((_crossing(lambda s: events[i][0](at(s)), t, t_new), i)
+                         for i in fired)
+            return t_e, at(t_e), i
+        t, y, k1, g_old = t_new, y_new, k7, g_new
+    return t, y, None
+
+
+def _sample_grid(eta_max: float, stride: float) -> list[float]:
     n = int(round(eta_max / stride))
     if abs(n * stride - eta_max) > 1e-9 * max(1.0, eta_max):
         n = int(math.floor(eta_max / stride))
-    grid = np.arange(n + 1) * stride
+    grid = [i * stride for i in range(n + 1)]
     if grid[-1] < eta_max - 1e-12:
-        grid = np.append(grid, eta_max)
+        grid.append(eta_max)
     return grid
 
 
@@ -123,10 +305,9 @@ def _refine_extrema(samples, fpp_at: Callable[[float], float],
                     fp_at: Callable[[float], float],
                     noise_floor: float) -> list[tuple[float, float]]:
     out = []
-    fpp = np.array([s[3] for s in samples])
     for i in range(len(samples) - 1):
         a, b = samples[i][0], samples[i + 1][0]
-        sa, sb = fpp[i], fpp[i + 1]
+        sa, sb = samples[i][3], samples[i + 1][3]
         if max(abs(sa), abs(sb)) < noise_floor:
             # integrator noise once the solution has decayed; not a
             # genuine stationary point of f'
@@ -158,15 +339,15 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     eta_max = cfg.eta_max if cfg.eta_max is not None else auto_eta_max(params)
-    y0 = np.array([params.s, -1.0, alpha])
+    y0 = (params.s, -1.0, alpha)
     f = rhs(params)
     grid = _sample_grid(eta_max, cfg.sample_stride)
 
     if cfg.method == "rk4":
         rows = [(0.0, params.s, -1.0, alpha)]
-        y = y0.copy()
+        y = y0
         eta = 0.0
-        states = {0.0: y0.copy()}
+        states = {0.0: y0}
         for target in grid[1:]:
             span = target - eta
             nsub = max(1, int(math.ceil(span / cfg.step)))
@@ -176,15 +357,15 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
                 eta += h
                 if abs(y[2]) > BLOWUP:
                     raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta:g}",
-                                 eta=eta, state=tuple(y))
+                                 eta=eta, state=y)
             eta = target
-            states[target] = y.copy()
-            rows.append((target, y[0], y[1], y[2]))
+            states[target] = y
+            rows.append((target, *y))
 
         def local(eta_q, comp):
             # re-integrate from the nearest stored grid state below eta_q
             base = max(t for t in states if t <= eta_q)
-            yy = states[base].copy()
+            yy = states[base]
             tt = base
             span = eta_q - tt
             if span > 0:
@@ -198,29 +379,25 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
         fpp_at = lambda t: local(t, 2)
         fp_at = lambda t: local(t, 1)
     else:
-        def blowup_event(eta, y):
-            return abs(y[2]) - BLOWUP
-        blowup_event.terminal = True
-
-        sol = solve_ivp(f, (0.0, eta_max), y0, method="RK45",
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                        dense_output=True, events=blowup_event)
-        if sol.status == 1:  # terminated by the blowup event
-            eta_b = sol.t_events[0][0]
+        steps: list[_Step] = []
+        eta_b, y_b, hit = _dopri(f, y0, eta_max, cfg.rel_tol, cfg.abs_tol,
+                                 [(lambda y: abs(y[2]) - BLOWUP, 0)], steps)
+        if hit is not None:
             raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta_b:g}",
-                         eta=eta_b, state=tuple(sol.y_events[0][0]))
-        if not sol.success:
-            raise StepUnderflow(sol.message)
-        dense = sol.sol
-        rows = []
-        for t in grid:
-            if t == 0.0:
-                rows.append((0.0, params.s, -1.0, alpha))
-            else:
-                yf, yfp, yfpp = dense(t)
-                rows.append((float(t), float(yf), float(yfp), float(yfpp)))
-        fpp_at = lambda t: float(dense(t)[2])
-        fp_at = lambda t: float(dense(t)[1])
+                         eta=eta_b, state=y_b)
+        ends = [step[1] for step in steps]
+        pieces = {}
+
+        def dense(t):
+            # the step whose interval (t_old, t] holds t
+            i = min(bisect.bisect_left(ends, t), len(steps) - 1)
+            if i not in pieces:
+                pieces[i] = _interpolant(steps[i])
+            return pieces[i](t)
+        rows = [(0.0, params.s, -1.0, alpha)]
+        rows += [(t, *dense(t)) for t in grid[1:]]
+        fpp_at = lambda t: dense(t)[2]
+        fp_at = lambda t: dense(t)[1]
 
     extrema = _refine_extrema(rows, fpp_at, fp_at,
                               1e3 * cfg.abs_tol) if len(rows) > 1 else []
@@ -262,28 +439,18 @@ def _divergence_side(params: ModelParams, alpha: float,
     stop (the event, or eta_max) out to eta_max along the unstable tail
     mode. Its sign is the side, and across a shooting bracket it is
     nearly linear in alpha, so it can guide the choice of the next alpha.
-    u is nan when no growth rate is given."""
+    u is nan when no growth rate is given. Raises StepUnderflow when the
+    integrator cannot advance."""
 
-    def over(eta, y):
-        return y[1] - 0.5
-    over.terminal = True
-    over.direction = 1
-
-    def under(eta, y):
-        return y[1] + 1.5
-    under.terminal = True
-    under.direction = -1
-
-    sol = solve_ivp(rhs(params), (0.0, eta_max),
-                    [params.s, -1.0, alpha], method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    events=(over, under))
-    if sol.t_events[0].size:
-        side, eta_stop, fp = 1, sol.t_events[0][0], 0.5
-    elif sol.t_events[1].size:
-        side, eta_stop, fp = -1, sol.t_events[1][0], -1.5
+    eta, y, hit = _dopri(rhs(params), (params.s, -1.0, alpha), eta_max,
+                         cfg.rel_tol, cfg.abs_tol,
+                         [(lambda y: y[1] - 0.5, 1), (lambda y: y[1] + 1.5, -1)])
+    if hit == 0:
+        side, eta_stop, fp = 1, eta, 0.5
+    elif hit == 1:
+        side, eta_stop, fp = -1, eta, -1.5
     else:
-        fp = float(sol.y[1, -1])
+        fp = y[1]
         side, eta_stop = (1 if fp > 0 else -1), eta_max
     if growth is None:
         return side, math.nan
@@ -300,6 +467,8 @@ def _tree_point(lo: float, hi: float, x: float, a: float, b: float) -> float:
     best = 0.5 * (lo + hi)
     while hi - lo > LEAF_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if a < mid < b:
             best = mid
         if x < mid:
@@ -312,8 +481,9 @@ def _tree_point(lo: float, hi: float, x: float, a: float, b: float) -> float:
 def shoot_refine(params: ModelParams, bracket: tuple[float, float],
                  cfg: Optional[IntegratorConfig] = None) -> float:
     """alpha at the sign change of the divergence side inside bracket,
-    resolved to bisection's final width of 1e-8. Independent cross-check
-    for the Hankel result.
+    resolved to bisection's final width of 1e-8, or to two adjacent
+    floats once those are further apart (|alpha| >= 2^26). Independent
+    cross-check for the Hankel result.
 
     The result is the one plain bisection on the side would return: the
     midpoint of its final leaf (lo, hi). Only the order of the work
@@ -355,6 +525,8 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     moved = 0  # end replaced by the last test: -1 for a, +1 for b
     while hi - lo > LEAF_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if mid <= a:
             lo = mid
             continue

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from mhdsheet import ModelParams
@@ -9,6 +12,25 @@ PAPER_ALPHA = 4.20411340
 @pytest.fixture
 def paper_params():
     return ModelParams(M=2.0, m=2.0, s=1.8)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass, so
+    that a search that never ends fails its test instead of hanging the
+    run (POSIX interval timer; tests using it skip elsewhere)."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs signal.setitimer")
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def taylor_coeffs_by_differentiation(M2, m, s, alpha, order):

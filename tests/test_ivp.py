@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from mhdsheet import (BadBracket, Blowup, ComplexDecay, IntegratorConfig,
                       monotonicity_report, rhs, shoot_refine, solve_general,
                       solve_n1)
 
-from conftest import PAPER_ALPHA
+from conftest import PAPER_ALPHA, deadline
 
 
 class TestRhs:
@@ -94,6 +96,44 @@ class TestIntegrate:
             IntegratorConfig(eta_max=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.0)
+
+
+def rows_digest(rows):
+    """SHA-256 of the rows' IEEE doubles, little-endian, four per row."""
+    return hashlib.sha256(b"".join(struct.pack("<4d", *r) for r in rows)).hexdigest()
+
+
+class TestFrozenRK4:
+    """RK4 profiles at the paper case, recorded bit for bit before the
+    integrators moved off scipy; the fixed-step path must not change."""
+
+    RECORDS = {
+        4.20411339902: (
+            "3eb2b08423fdeb2a0243723b7656c732191ce5695a108f81293b0cfec17b0897",
+            {50: (0.5, 1.5897422649860056, -0.12613874917138015, 0.5182519668513696),
+             100: (1.0, 1.5629528939482957, -0.016233035342181134, 0.06650014425543323),
+             245: (2.4455231422595967, 1.5590001175045578, -4.360599594668332e-05,
+                   0.0001785628567373568)},
+            []),
+        4.0: (
+            "0eb22ded80eedcebc17f709d1b8492b835dffa485c0b7835b264319ee2e98947",
+            {50: (0.5, 1.573471282639644, -0.1808761421532117, 0.4491510594004918),
+             100: (1.0, 1.510485348504844, -0.10795062938624637, -0.02143155240451904),
+             245: (2.4455231422595967, 1.2144499913266102, -0.38277353362580513,
+                   -0.39259878393574194)},
+            [(0.9443806314468385, -0.10733854622060428)]),
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(RECORDS))
+    def test_rows_and_extrema(self, paper_params, alpha):
+        digest, some_rows, extrema = self.RECORDS[alpha]
+        prof = integrate(paper_params, alpha, IntegratorConfig(method="rk4"))
+        assert len(prof.rows) == 246
+        for i, row in some_rows.items():
+            assert prof.rows[i] == row
+        assert rows_digest(prof.rows) == digest
+        assert prof.extrema == extrema
+        assert prof.tail_fp == some_rows[245][2]
 
 
 class TestExtrema:
@@ -263,6 +303,20 @@ class TestGuidedShooting:
         alpha, n, ref, n_ref = guided_and_reference(PAPER, (4.0, 4.4), cfg)
         assert alpha == ref
         assert n <= n_ref
+
+    @pytest.mark.parametrize("guided", [True, False])
+    def test_bracket_of_adjacent_floats_ends(self, guided, monkeypatch):
+        # past 2^26 the float spacing exceeds LEAF_WIDTH, so the bracket
+        # stops shrinking at two adjacent floats; the search must end there
+        step = 2.0 ** 30 + 0.3
+
+        def side(params, alpha, cfg, eta_max, growth=None):
+            return (1 if alpha > step else -1,
+                    alpha - step if guided else math.nan)
+        monkeypatch.setattr(ivp, "_divergence_side", side)
+        with deadline(1.0):
+            alpha = shoot_refine(PAPER, (step - 1.0, step + 1.0))
+        assert abs(alpha - step) <= math.ulp(step)
 
     @pytest.mark.parametrize("bracket", [(math.nan, 4.4), (4.0, math.inf),
                                          (-math.inf, 4.4)])
