@@ -38,12 +38,6 @@ from fractions import Fraction
 from .model import ModelParams
 from .polyseries import AlphaPolynomial, TaylorTable, taylor_table
 
-try:  # GMP-backed integers, when installed; plain int is exact too
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    def _mpz(x):
-        return x
-
 
 # the sequence settles when 3 consecutive |alpha_D - alpha_prev| fall
 # below this; the exact-crossing scatter is ~1e-6, so the bisection tol is
@@ -127,7 +121,7 @@ def _bareiss_sign(A: list[list[int]]) -> int:
     if n == 1:
         v = A[0][0]
         return 0 if v == 0 else (1 if v > 0 else -1)
-    A = [[_mpz(x) for x in row] for row in A]
+    A = [list(row) for row in A]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -205,7 +199,7 @@ def _entry_multipliers(table: TaylorTable, d: int, D: int) -> tuple[int, ...]:
     The bases are the odd primes up to 2D+d (the k! in the denominators)
     and what is left of Q once those and 2 are divided out (the primes of
     q, taken together). The 2-adic line depends on alpha and is taken per
-    call. Kept on the table, like `cleared`, once per (d, D)."""
+    call. Kept on the table once per (d, D)."""
     memo = vars(table).setdefault("_hankel_multipliers", {})
     if (d, D) in memo:
         return memo[d, D]
@@ -227,7 +221,7 @@ def _entry_multipliers(table: TaylorTable, d: int, D: int) -> tuple[int, ...]:
     return memo[d, D]
 
 
-def _hankel_sequence(table: TaylorTable, d: int, D: int, alpha: Fraction) -> list:
+def _hankel_sequence(table: TaylorTable, d: int, D: int, alpha: Fraction) -> list[int]:
     """Integers c'_t = K r^t f_{t+d+2}(alpha), t = 0..2D-2, for rationals
     K, r > 0, so det[c'_{i+j}] = K^D r^(D(D-1)) det[f_{i+j+d+2}] has the
     sign of the Hankel determinant.
@@ -255,7 +249,7 @@ def _hankel_sequence(table: TaylorTable, d: int, D: int, alpha: Fraction) -> lis
     if not ts:
         return c
     A, s = _best_line(ts, [(c[t] & -c[t]).bit_length() - 1 for t in ts])
-    return [_mpz(x >> (A + s * t) if A + s * t >= 0 else x << -(A + s * t))
+    return [x >> (A + s * t) if A + s * t >= 0 else x << -(A + s * t)
             for t, x in enumerate(c)]
 
 

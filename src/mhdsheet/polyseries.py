@@ -21,13 +21,14 @@ G_k = q^(2k+1) F_k then obeys
         + sum_{k=0..j} C(j,k) (q G_{k+1} G_{j-k+1} - B G_k G_{j-k+2})
 
 from G_0 = q s, G_1 = -q^3, G_2 = q^5 alpha. Every G_k is a polynomial in
-alpha with integer coefficients, so no gcd is taken until the rational
-entries f_k = G_k / (q^(2k+1) k!) are formed once at the end.
+alpha with integer coefficients, so no gcd is taken until the end, where
+the table keeps f_k = G_k / (q^(2k+1) k!) reduced once to lowest terms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -49,15 +50,14 @@ class PoleNear(Exception):
 def to_exact(value) -> Fraction:
     """Convert a parameter to an exact rational.
 
-    Fractions, ints and decimal strings convert exactly. Floats are read
-    through their shortest decimal repr, so a value entered as 1.8 becomes
-    9/5 (not the binary expansion of the float). Irrational parameters
-    have no exact representation; use the float-only ansatz/IVP paths.
+    Rationals (Fraction, int, numpy integers) and decimal strings convert
+    exactly, over plain ints that cannot wrap. Floats are read through their
+    shortest decimal repr, so 1.8 becomes 9/5 (not the binary expansion of
+    the float). Irrational parameters have no exact representation; use the
+    float-only ansatz/IVP paths.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
@@ -127,27 +127,25 @@ class AlphaPolynomial:
 class TaylorTable:
     """Taylor coefficients f_0 .. f_J of f about eta = 0, each an exact
     polynomial in alpha. m2/m/s are the exact rational parameters (the
-    recurrence only sees M^2, so negative M is equivalent to |M|)."""
+    recurrence only sees M^2, so negative M is equivalent to |M|).
+
+    `cleared[k]` is (c, L) with f_k = sum c_i alpha^i / L in lowest terms:
+    L > 0, gcd(L, *c) == 1 and no trailing zero in c (f_k = 0 is ((), 1))."""
 
     m2: Fraction
     m: Fraction
     s: Fraction
-    entries: tuple[AlphaPolynomial, ...]
+    cleared: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def order(self) -> int:
-        return len(self.entries) - 1
+        return len(self.cleared) - 1
 
     @cached_property
-    def cleared(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each entry over one denominator: (c, L) with f_k = sum c_i alpha^i / L,
-        L > 0 the lcm of the coefficient denominators. Built from `entries`
-        on first use, so exact evaluation can stay in integers."""
-        out = []
-        for p in self.entries:
-            L = math.lcm(*(c.denominator for c in p.coeffs))
-            out.append((tuple(c.numerator * (L // c.denominator) for c in p.coeffs), L))
-        return tuple(out)
+    def entries(self) -> tuple[AlphaPolynomial, ...]:
+        """The entries as rational polynomials, derived on first use."""
+        return tuple(AlphaPolynomial(tuple(Fraction(c, L) for c in cs))
+                     for cs, L in self.cleared)
 
 
 def taylor_table(params: ModelParams, order: int) -> TaylorTable:
@@ -161,7 +159,8 @@ def taylor_table(params: ModelParams, order: int) -> TaylorTable:
     q = math.lcm(m2.denominator, m.denominator, s.denominator)
     a_q3 = m2.numerator * (q // m2.denominator) * q ** 3
     b = m.numerator * (q // m.denominator)
-    G = [[s.numerator * (q // s.denominator)], [-q ** 3], [0, q ** 5]]
+    # every G_k is kept free of trailing zeros, so G_0 = [] when s = 0
+    G = [[s.numerator * (q // s.denominator)] if s else [], [-q ** 3], [0, q ** 5]]
     for j in range(order - 2):
         acc = [0] * (2 * max(map(len, G)) - 1)
         _add_product(acc, G[j + 1], [a_q3])
@@ -173,13 +172,14 @@ def taylor_table(params: ModelParams, order: int) -> TaylorTable:
             acc.pop()
         G.append(acc)
 
-    entries = []
+    cleared = []
     den = q
     for k, g in enumerate(G):
         if k:
             den *= q * q * k
-        entries.append(AlphaPolynomial.make([Fraction(x, den) for x in g]))
-    return TaylorTable(m2=m2, m=m, s=s, entries=tuple(entries))
+        r = math.gcd(den, *g)
+        cleared.append((tuple(x // r for x in g), den // r))
+    return TaylorTable(m2=m2, m=m, s=s, cleared=tuple(cleared))
 
 
 def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:

@@ -1,5 +1,7 @@
 import contextlib
+import math
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,17 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def clear_by_lcm(coeffs):
+    """(c, L) with c_i / L == coeffs[i] for rational coefficients, trailing
+    zeros trimmed and L the lcm of their denominators: the integer form of
+    one Taylor table entry."""
+    cs = [Fraction(x) for x in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    L = math.lcm(*(x.denominator for x in cs))
+    return tuple(x.numerator * (L // x.denominator) for x in cs), L
 
 
 def taylor_coeffs_by_differentiation(M2, m, s, alpha, order):

@@ -11,14 +11,17 @@ from mhdsheet import (HankelConfig, ModelParams, NoSignChange, alpha_sequence,
                       taylor_table)
 from mhdsheet import hankel
 from mhdsheet.hankel import _bareiss_sign, _condensation_sign, _int_matrix
-from mhdsheet.polyseries import AlphaPolynomial, TaylorTable
+from mhdsheet.polyseries import TaylorTable
+
+from conftest import clear_by_lcm
 
 
 def synthetic_table(entries):
-    consts = [AlphaPolynomial.make(c) if isinstance(c, (list, tuple))
-              else AlphaPolynomial.constant(c) for c in entries]
+    """A table of the given entries, each a constant or a coefficient list."""
+    cleared = [clear_by_lcm(c if isinstance(c, (list, tuple)) else [c])
+               for c in entries]
     return TaylorTable(m2=Fraction(0), m=Fraction(0), s=Fraction(0),
-                       entries=tuple(consts))
+                       cleared=tuple(cleared))
 
 
 class TestEntries:
@@ -124,6 +127,15 @@ def hankel_sequences(draw):
     for i in draw(st.lists(st.integers(0, 2 * D - 2), max_size=D)):
         c[i] = 0
     return c
+
+
+def test_sign_path_builds_no_rational_entries(paper_params):
+    # the exact sign test reads the integer form only
+    tab = taylor_table(paper_params, 19)
+    det_sign_at(tab, -1, 10, Fraction(42, 10))
+    cfg = HankelConfig(seed=4.2041, bracket_halfwidth=0.01, scan_points=17)
+    find_root(tab, cfg, 10, cfg.seed)
+    assert "entries" not in vars(tab)
 
 
 class TestCondensation:

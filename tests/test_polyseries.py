@@ -9,7 +9,8 @@ from mhdsheet import (DegenerateSystem, IntegratorConfig, ModelParams,
                       taylor_table)
 from mhdsheet.polyseries import AlphaPolynomial, to_exact
 
-from conftest import PAPER_ALPHA, taylor_coeffs_by_differentiation
+from conftest import (PAPER_ALPHA, clear_by_lcm,
+                      taylor_coeffs_by_differentiation)
 
 
 def test_to_exact_reads_decimals():
@@ -19,6 +20,12 @@ def test_to_exact_reads_decimals():
     assert to_exact(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         to_exact(math.inf)
+    # numpy integers are rationals too; a fixed-width numerator would wrap
+    # inside the table's big powers, so it must come back as a plain int
+    assert to_exact(np.int64(2)) == 2
+    assert type(to_exact(np.int64(2)).numerator) is int
+    assert (taylor_table(ModelParams(np.int64(2), 2, 1.8), 10)
+            == taylor_table(ModelParams(2, 2, 1.8), 10))
 
 
 class TestTaylorTable:
@@ -71,17 +78,35 @@ def fraction_recurrence(M, m, s, order):
     return tuple(f)
 
 
-@pytest.mark.parametrize("M, m, s", [
+RECURRENCE_CASES = [
     (Fraction(1, 3), Fraction(37, 100), Fraction(231, 100)),
     (Fraction(2), Fraction(2), Fraction(9, 5)),
     (Fraction(131, 100), Fraction(0), Fraction(109, 100)),
     (Fraction(-5, 2), Fraction(-3, 7), Fraction(0)),
     (Fraction(0), Fraction(1), Fraction(-11, 6)),
-])
+]
+
+
+@pytest.mark.parametrize("M, m, s", RECURRENCE_CASES)
 def test_integer_recurrence_equals_fraction_recurrence(M, m, s):
     tab = taylor_table(ModelParams(M, m, s), 24)
     assert tab.entries == fraction_recurrence(M, m, s, 24)
     assert (tab.m2, tab.m, tab.s) == (M ** 2, m, s)
+
+
+@pytest.mark.parametrize("M, m, s", RECURRENCE_CASES + [
+    (Fraction(2), Fraction(1), Fraction(0)),  # s = 0: f_0 is ((), 1)
+    # M^2 = 17161/10^4: q = 10^4
+    (Fraction(131, 100), Fraction(0), Fraction(129, 100)),
+])
+def test_cleared_form_is_lowest_terms(M, m, s):
+    tab = taylor_table(ModelParams(M, m, s), 24)
+    for ints, L in tab.cleared:
+        assert L > 0
+        assert math.gcd(L, *ints) == 1
+        assert not ints or ints[-1] != 0
+    assert tab.cleared == tuple(clear_by_lcm(p.coeffs)
+                                for p in fraction_recurrence(M, m, s, 24))
 
 
 def test_cleared_form_matches_entries():
