@@ -118,9 +118,6 @@ def _bareiss_sign(A: list[list[int]]) -> int:
     """Exact sign of det(A) for an integer matrix, by fraction-free
     (Bareiss) elimination."""
     n = len(A)
-    if n == 1:
-        v = A[0][0]
-        return 0 if v == 0 else (1 if v > 0 else -1)
     A = [list(row) for row in A]
     sign = 1
     prev = 1
@@ -290,7 +287,8 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
     Scans dyadic points across [guess - w, guess + w] for a sign change,
     then bisects with exact signs at dyadic midpoints until the bracket
     width is <= cfg.tol. Floats are exactly dyadic, so every evaluation
-    point stays an exact rational.
+    point stays an exact rational. Each bracket keeps the sign the scan
+    found at its left end, so no point is signed twice.
     """
     w = cfg.halfwidth
     n = cfg.scan_points
@@ -306,14 +304,15 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
     n = len(pts)
     signs = [det_sign_at(table, cfg.d, D, p) for p in pts]
 
+    # (lo, hi, sign at lo)
     brackets = []
     for i in range(n - 1):
         if signs[i] == 0:
-            brackets.append((pts[i], pts[i]))
+            brackets.append((pts[i], pts[i], 0))
         elif signs[i] * signs[i + 1] < 0:
-            brackets.append((pts[i], pts[i + 1]))
+            brackets.append((pts[i], pts[i + 1], signs[i]))
     if signs[-1] == 0:
-        brackets.append((pts[-1], pts[-1]))
+        brackets.append((pts[-1], pts[-1], 0))
     if not brackets:
         raise NoSignChange(
             f"no sign change of H_{D}^{cfg.d + 1} in "
@@ -323,10 +322,9 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
             f"{len(brackets)} sign changes for D={D}; using the root closest "
             "to the guess", MultipleRootsWarning)
         brackets.sort(key=lambda br: abs(float(br[0] + br[1]) / 2 - guess))
-    lo, hi = brackets[0]
+    lo, hi, slo = brackets[0]
     if lo == hi:
         return float(lo)
-    slo = det_sign_at(table, cfg.d, D, lo)
     while float(hi - lo) > cfg.tol:
         mid = (lo + hi) / 2
         sm = det_sign_at(table, cfg.d, D, mid)
@@ -356,7 +354,6 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
     guess = cfg.seed
     level = cfg
     misses = 0
-    last_err = None
     for D in range(2, cfg.D_max + 1):
         # persistent misses suggest the window went too tight
         attempt = level if misses < 2 else replace(
@@ -364,8 +361,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
                                          2 ** (misses // 2) * level.halfwidth))
         try:
             root = find_root(table, attempt, D, guess)
-        except NoSignChange as e:
-            last_err = e
+        except NoSignChange:
             seq.skipped.append(D)
             misses += 1
             continue
@@ -387,7 +383,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
     if not seq.roots:
         raise NoSignChange(
             f"no Hankel root found near the seed for any D up to {cfg.D_max}",
-            D=getattr(last_err, "D", cfg.D_max))
+            D=cfg.D_max)
     if seq.converged or not seq.deltas:
         seq.alpha_star = seq.roots[-1][1]
     else:

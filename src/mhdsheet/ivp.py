@@ -11,8 +11,11 @@ fire on a sign change), so it takes the steps scipy's RK45 solver
 takes, up to the rounding of its sums: numpy's dot products may fuse
 multiply-adds. It builds a step's quartic dense output only where a
 sample, an extremum or an event needs it. Profiles carry extrema of f'
-(sign changes of f'', refined by bisection) so the presence or absence
-of an interior maximum can be checked directly.
+(sign changes of f'' between samples) so the presence or absence of an
+interior maximum can be checked directly. One float bisection, `_bisect`,
+locates both the events and these extrema, the latter on the profile's
+one state lookup: the dense output for RK45, a re-integration from the
+sample below for RK4.
 
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips. Only that exact side decides the bracket. A
@@ -193,23 +196,30 @@ def _interpolant(step: _Step) -> Callable[[float], tuple]:
     return at
 
 
-def _crossing(g: Callable[[float], float], a: float, b: float) -> float:
-    """A zero of g in [a, b], where g(a) and g(b) differ in sign, by
-    bisection down to adjacent floats."""
-    ga = g(a)
-    if ga == 0:
-        return a
-    while True:
+def _bisect(g: Callable[[float], float], a: float, b: float, ga: float,
+            width: float) -> tuple[float, float]:
+    """Bisect [a, b], where g(a) = ga is nonzero and g(b) has the other
+    sign, until b - a <= width or a and b are adjacent floats; returns the
+    final bracket, or (x, x) at a midpoint x where g is zero."""
+    while b - a > width:
         mid = 0.5 * (a + b)
-        if not a < mid < b:
-            return b
+        if not a < mid < b:  # adjacent floats
+            break
         gm = g(mid)
         if gm == 0:
-            return mid
+            return mid, mid
         if (gm > 0) == (ga > 0):
             a = mid
         else:
             b = mid
+    return a, b
+
+
+def _crossing(g: Callable[[float], float], a: float, b: float) -> float:
+    """A zero of g in [a, b], where g(a) and g(b) differ in sign, by
+    bisection down to adjacent floats."""
+    ga = g(a)
+    return a if ga == 0 else _bisect(g, a, b, ga, 0.0)[1]
 
 
 def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
@@ -317,67 +327,53 @@ def _refine_extrema(samples, fpp_at: Callable[[float], float],
             continue
         if sa * sb >= 0:
             continue
-        while b - a > 1e-8:
-            mid = 0.5 * (a + b)
-            sm = fpp_at(mid)
-            if sm == 0:
-                a = b = mid
-                break
-            if (sm > 0) == (sa > 0):
-                a, sa = mid, sm
-            else:
-                b = mid
+        a, b = _bisect(fpp_at, a, b, sa, 1e-8)
         eta = 0.5 * (a + b)
         if eta > 1e-8:  # interior only
             out.append((eta, fp_at(eta)))
     return out
 
 
+def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
+              step: float) -> Sequence[float]:
+    """y at eta + span by RK4 in the fewest equal substeps no longer than
+    `step`. Raises Blowup when |f''| passes 1e12 after a substep."""
+    nsub = max(1, int(math.ceil(span / step)))
+    h = span / nsub
+    for _ in range(nsub):
+        y = _rk4_step(f, eta, y, h)
+        eta += h
+        if abs(y[2]) > BLOWUP:
+            raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta:g}",
+                         eta=eta, state=y)
+    return y
+
+
 def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profile:
     """Integrate from eta = 0 to eta_max and sample at the configured
-    stride. Raises Blowup when |f''| passes 1e12 before eta_max."""
+    stride. Raises Blowup when |f''| passes 1e12 before eta_max.
+
+    One lookup `state_at(t)` gives the state anywhere on the profile, and
+    the extrema of f' are refined through it. For RK45 it is the dense
+    output of the step that holds t. For RK4 it re-integrates from the
+    sampled row at or below t with the march's own substep rule, so a
+    sample point gives back its row exactly."""
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     eta_max = cfg.eta_max if cfg.eta_max is not None else auto_eta_max(params)
     y0 = (params.s, -1.0, alpha)
     f = rhs(params)
     grid = _sample_grid(eta_max, cfg.sample_stride)
+    rows = [(0.0, *y0)]
 
     if cfg.method == "rk4":
-        rows = [(0.0, params.s, -1.0, alpha)]
-        y = y0
-        eta = 0.0
-        states = {0.0: y0}
         for target in grid[1:]:
-            span = target - eta
-            nsub = max(1, int(math.ceil(span / cfg.step)))
-            h = span / nsub
-            for _ in range(nsub):
-                y = _rk4_step(f, eta, y, h)
-                eta += h
-                if abs(y[2]) > BLOWUP:
-                    raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta:g}",
-                                 eta=eta, state=y)
-            eta = target
-            states[target] = y
-            rows.append((target, *y))
+            eta, *y = rows[-1]
+            rows.append((target, *_rk4_span(f, eta, y, target - eta, cfg.step)))
 
-        def local(eta_q, comp):
-            # re-integrate from the nearest stored grid state below eta_q
-            base = max(t for t in states if t <= eta_q)
-            yy = states[base]
-            tt = base
-            span = eta_q - tt
-            if span > 0:
-                nsub = max(1, int(math.ceil(span / cfg.step)))
-                h = span / nsub
-                for _ in range(nsub):
-                    yy = _rk4_step(f, tt, yy, h)
-                    tt += h
-            return yy[comp]
-
-        fpp_at = lambda t: local(t, 2)
-        fp_at = lambda t: local(t, 1)
+        def state_at(t):
+            eta, *y = rows[bisect.bisect_right(grid, t) - 1]
+            return y if t == eta else _rk4_span(f, eta, y, t - eta, cfg.step)
     else:
         steps: list[_Step] = []
         eta_b, y_b, hit = _dopri(f, y0, eta_max, cfg.rel_tol, cfg.abs_tol,
@@ -388,19 +384,16 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
         ends = [step[1] for step in steps]
         pieces = {}
 
-        def dense(t):
+        def state_at(t):
             # the step whose interval (t_old, t] holds t
             i = min(bisect.bisect_left(ends, t), len(steps) - 1)
             if i not in pieces:
                 pieces[i] = _interpolant(steps[i])
             return pieces[i](t)
-        rows = [(0.0, params.s, -1.0, alpha)]
-        rows += [(t, *dense(t)) for t in grid[1:]]
-        fpp_at = lambda t: dense(t)[2]
-        fp_at = lambda t: dense(t)[1]
+        rows += [(t, *state_at(t)) for t in grid[1:]]
 
-    extrema = _refine_extrema(rows, fpp_at, fp_at,
-                              1e3 * cfg.abs_tol) if len(rows) > 1 else []
+    extrema = _refine_extrema(rows, lambda t: state_at(t)[2],
+                              lambda t: state_at(t)[1], 1e3 * cfg.abs_tol)
     return Profile(rows=rows, alpha_used=alpha, tail_fp=rows[-1][2],
                    extrema=extrema)
 

@@ -13,6 +13,48 @@ from conftest import PAPER_ALPHA
 FAST = ["--M", "2", "--m", "2", "--s", "1.8", "--Dmax", "14"]
 
 
+# `mhdsheet solve --M 2 --m 2 --s 1.8`, recorded byte for byte
+PAPER_SOLVE_STDOUT = (
+    '{\n'
+    '  "schema": 1,\n'
+    '  "params": {\n'
+    '    "m_hartmann": 2.0,\n'
+    '    "m_coeff": 2.0,\n'
+    '    "s": 1.8\n'
+    '  },\n'
+    '  "ansatz1": {\n'
+    '    "beta": 4.08910462845,\n'
+    '    "b": [\n'
+    '      1.55544768577,\n'
+    '      0.244552314226\n'
+    '    ],\n'
+    '    "alpha_est": 4.08910462845\n'
+    '  },\n'
+    '  "ansatz2": {\n'
+    '    "beta": 4.09462681282,\n'
+    '    "b": [\n'
+    '      1.55886840485,\n'
+    '      0.238040689526,\n'
+    '      0.00309090562862\n'
+    '    ],\n'
+    '    "alpha_est": 4.1982708671\n'
+    '  },\n'
+    '  "alpha_hankel": {\n'
+    '    "value": 4.2041138908,\n'
+    '    "converged": true,\n'
+    '    "d_reached": 18\n'
+    '  },\n'
+    '  "alpha_shooting": 4.20411339902,\n'
+    '  "agreement": {\n'
+    '    "ansatz1_max_dev": 0.00706634294467,\n'
+    '    "ansatz2_max_dev": 0.000276407119981\n'
+    '  },\n'
+    '  "monotone_fp": true,\n'
+    '  "warnings": []\n'
+    '}\n'
+)
+
+
 @pytest.fixture(scope="module")
 def solve_json(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "solve.json"
@@ -50,6 +92,13 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha_hankel"]["converged"] is False
         assert code == 2
+
+    def test_paper_solve_is_frozen(self, capsys):
+        # the full paper solve (Dmax 30), recorded byte for byte: stdout
+        # and exit code
+        code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8"])
+        assert code == 0
+        assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

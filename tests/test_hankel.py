@@ -291,6 +291,24 @@ class TestFindRoot:
         assert all(p.denominator & (p.denominator - 1) == 0 for p in points)
 
 
+    def test_signs_no_point_twice(self, paper_params, monkeypatch):
+        # the scan's sign at the bracket's left end carries into the
+        # bisection instead of being evaluated again
+        tab = taylor_table(paper_params, 2 * 8 - 1)
+        cfg = HankelConfig(seed=4.2, bracket_halfwidth=0.02, scan_points=17)
+        points = []
+        real = hankel.det_sign_at
+
+        def counted(table, d, D, alpha):
+            points.append(alpha)
+            return real(table, d, D, alpha)
+
+        monkeypatch.setattr(hankel, "det_sign_at", counted)
+        root = find_root(tab, cfg, 8, cfg.seed)
+        assert root == pytest.approx(4.1952797646, abs=1e-9)
+        assert len(points) == len(set(points))
+
+
 class TestAlphaSequence:
     def test_paper_case_moderate_depth(self, paper_params):
         # frozen regression of the bring-up run, whose matrix starts at

@@ -136,6 +136,40 @@ class TestFrozenRK4:
         assert prof.tail_fp == some_rows[245][2]
 
 
+class TestFrozenRK45:
+    """RK45 profiles at the paper case, recorded bit for bit from the
+    in-repo Dormand-Prince stepper; its dense-output state lookup and
+    extremum refinement must not change."""
+
+    RECORDS = {
+        4.20411339902: (
+            "5802eb560b27dd83d9439e04d290f559c6949b6792a3abecf0063f726ad05aa4",
+            {50: (0.5, 1.5897422649871304, -0.12613874917660658, 0.5182519668731005),
+             100: (1.0, 1.5629528939485646, -0.01623303534365077, 0.06650014426215876),
+             245: (2.4455231422595967, 1.559000117504895, -4.3605995472036833e-05,
+                   0.00017856285766249642)},
+            []),
+        4.0: (
+            "bafb157dbd0c040011ffdf8dbf2ac4977c8700c7ffc0defeed8a2faf289811bd",
+            {50: (0.5, 1.573471282640079, -0.18087614215571537, 0.4491510594100588),
+             100: (1.0, 1.5104853485049758, -0.10795062938751299, -0.021431552399141844),
+             245: (2.4455231422595967, 1.21444999132159, -0.38277353362780764,
+                   -0.39259878394497266)},
+            [(0.9443806314468385, -0.10733854622238924)]),
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(RECORDS))
+    def test_rows_and_extrema(self, paper_params, alpha):
+        digest, some_rows, extrema = self.RECORDS[alpha]
+        prof = integrate(paper_params, alpha, IntegratorConfig())
+        assert len(prof.rows) == 246
+        for i, row in some_rows.items():
+            assert prof.rows[i] == row
+        assert rows_digest(prof.rows) == digest
+        assert prof.extrema == extrema
+        assert prof.tail_fp == some_rows[245][2]
+
+
 class TestExtrema:
     def test_synthetic_interior_maximum(self):
         # feed _refine_extrema a profile built from a known function:
@@ -154,6 +188,21 @@ class TestExtrema:
         assert len(ext) == 1
         assert ext[0][0] == pytest.approx(1 + math.sqrt(3), abs=1e-6)
         assert ext[0][1] == pytest.approx(g(1 + math.sqrt(3)), abs=1e-9)
+
+    def test_bracket_below_float_spacing_ends(self):
+        # at eta = 2^30 adjacent floats lie 2^-22 apart, wider than the
+        # 1e-8 target width, so the bisection has to stop at them
+        from mhdsheet.ivp import _refine_extrema
+        a = 2.0 ** 30
+        samples = [(a, 0.0, 0.0, 1.0), (a + 1, 0.0, 0.0, -1.0)]
+        with deadline(10):
+            ext = _refine_extrema(samples,
+                                  lambda t: 1.0 if t < 2 ** 30 + 0.3 else -1.0,
+                                  lambda t: t, noise_floor=1e-9)
+        assert len(ext) == 1
+        eta, fp = ext[0]
+        assert abs(eta - (a + 0.3)) <= 2.0 ** -22
+        assert fp == eta
 
     def test_physical_profile_is_monotone(self, paper_params):
         prof = integrate(paper_params, PAPER_ALPHA, IntegratorConfig(eta_max=5.0))
