@@ -24,8 +24,10 @@ the paper case at D = 18 and 30. The sign of det[c_{i+j}] comes from
 Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
 of the same integer matrix decides instead. Root location is a dyadic-point scan
-followed by exact-sign bisection, so no floating-point cancellation can
-ever flip a bracket, and no float fallback is substituted silently.
+followed by exact-sign bisection on the package's one bisection loop,
+`_bisection.bisect_sign`, which stops at cfg.tol or at float resolution,
+whichever comes first. No floating-point cancellation can ever flip a
+bracket, and no float fallback is substituted silently.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from ._bisection import bisect_sign
 from .model import ModelParams
 from .polyseries import AlphaPolynomial, TaylorTable, taylor_table
 
@@ -67,6 +70,10 @@ class HankelConfig:
     scan_points: int = 129
 
     def __post_init__(self):
+        if not math.isfinite(self.seed):
+            raise ValueError("seed must be finite")
+        if not 0 <= self.bracket_halfwidth < math.inf:  # nan included
+            raise ValueError("bracket_halfwidth must be >= 0 and finite")
         if self.d < -1:
             raise ValueError("d must be >= -1 (the first entry is f_{d+2}, at lowest f_1)")
         if self.D_max < 2:
@@ -285,12 +292,17 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
     """Locate a root of the Hankel determinant near `guess`.
 
     Scans dyadic points across [guess - w, guess + w] for a sign change,
-    then bisects with exact signs at dyadic midpoints until the bracket
-    width is <= cfg.tol. Floats are exactly dyadic, so every evaluation
-    point stays an exact rational. Each bracket keeps the sign the scan
-    found at its left end, so no point is signed twice.
+    then bisects the chosen bracket with exact signs at dyadic midpoints
+    (`bisect_sign`, from the sign the scan found at its left end, so no
+    point is signed twice) until its width is <= cfg.tol or the float of
+    its midpoint can move by at most one spacing. Floats are exactly
+    dyadic, so every evaluation point stays an exact rational. Raises
+    NoSignChange when the scan finds no sign change or w is 0.
     """
     w = cfg.halfwidth
+    if not w > 0:  # seed 0 with the default half-width
+        raise NoSignChange(f"empty bracket at {guess:g} for D={D}; "
+                           "give a nonzero seed or half-width", D=D)
     n = cfg.scan_points
     # snap the scan onto a power-of-two grid of spacing 2^-g: short dyadic
     # evaluation points keep the exact determinant arithmetic cheap, and
@@ -323,17 +335,8 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
             "to the guess", MultipleRootsWarning)
         brackets.sort(key=lambda br: abs(float(br[0] + br[1]) / 2 - guess))
     lo, hi, slo = brackets[0]
-    if lo == hi:
-        return float(lo)
-    while float(hi - lo) > cfg.tol:
-        mid = (lo + hi) / 2
-        sm = det_sign_at(table, cfg.d, D, mid)
-        if sm == 0:
-            return float(mid)
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_sign(lambda x: det_sign_at(table, cfg.d, D, x),
+                         lo, hi, slo, cfg.tol)
     return float((lo + hi) / 2)
 
 

@@ -12,16 +12,16 @@ takes, up to the rounding of its sums: numpy's dot products may fuse
 multiply-adds. It builds a step's quartic dense output only where a
 sample, an extremum or an event needs it. Profiles carry extrema of f'
 (sign changes of f'' between samples) so the presence or absence of an
-interior maximum can be checked directly. One float bisection, `_bisect`,
-locates both the events and these extrema, the latter on the profile's
-one state lookup: the dense output for RK45, a re-integration from the
-sample below for RK4.
+interior maximum can be checked directly. The package's one bisection
+loop, `_bisection.bisect_sign`, locates both the events and these
+extrema, the latter on the profile's one state lookup: the dense output
+for RK45, a re-integration from the sample below for RK4.
 
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
-divergence side flips. Only that exact side decides the bracket. A
-continuous tail value from the same trajectory picks which node of
-bisection's tree to integrate next (Illinois regula falsi), so the result
-is plain bisection's float in fewer trajectories.
+divergence side flips, on the same loop. Only that exact side decides the
+bracket. A continuous tail value from the same trajectory picks which
+node of bisection's tree to integrate next (Illinois regula falsi), so the
+result is plain bisection's float in fewer trajectories.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ._bisection import bisect_sign
 from .model import ModelParams
 from . import ansatz
 
@@ -196,30 +197,11 @@ def _interpolant(step: _Step) -> Callable[[float], tuple]:
     return at
 
 
-def _bisect(g: Callable[[float], float], a: float, b: float, ga: float,
-            width: float) -> tuple[float, float]:
-    """Bisect [a, b], where g(a) = ga is nonzero and g(b) has the other
-    sign, until b - a <= width or a and b are adjacent floats; returns the
-    final bracket, or (x, x) at a midpoint x where g is zero."""
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:  # adjacent floats
-            break
-        gm = g(mid)
-        if gm == 0:
-            return mid, mid
-        if (gm > 0) == (ga > 0):
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
 def _crossing(g: Callable[[float], float], a: float, b: float) -> float:
     """A zero of g in [a, b], where g(a) and g(b) differ in sign, by
     bisection down to adjacent floats."""
     ga = g(a)
-    return a if ga == 0 else _bisect(g, a, b, ga, 0.0)[1]
+    return a if ga == 0 else bisect_sign(g, a, b, ga, 0.0)[1]
 
 
 def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
@@ -327,7 +309,7 @@ def _refine_extrema(samples, fpp_at: Callable[[float], float],
             continue
         if sa * sb >= 0:
             continue
-        a, b = _bisect(fpp_at, a, b, sa, 1e-8)
+        a, b = bisect_sign(fpp_at, a, b, sa, 1e-8)
         eta = 0.5 * (a + b)
         if eta > 1e-8:  # interior only
             out.append((eta, fp_at(eta)))
@@ -453,24 +435,6 @@ def _divergence_side(params: ModelParams, alpha: float,
         return side, math.copysign(math.inf, fp)
 
 
-def _tree_point(lo: float, hi: float, x: float, a: float, b: float) -> float:
-    """The deepest midpoint strictly inside (a, b) on the path of
-    bisection's tree from node (lo, hi) down toward x. The caller
-    guarantees that the midpoint of (lo, hi) itself lies in (a, b)."""
-    best = 0.5 * (lo + hi)
-    while hi - lo > LEAF_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        if a < mid < b:
-            best = mid
-        if x < mid:
-            hi = mid
-        else:
-            lo = mid
-    return best
-
-
 def shoot_refine(params: ModelParams, bracket: tuple[float, float],
                  cfg: Optional[IntegratorConfig] = None) -> float:
     """alpha at the sign change of the divergence side inside bracket,
@@ -479,18 +443,18 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     cross-check for the Hankel result.
 
     The result is the one plain bisection on the side would return: the
-    midpoint of its final leaf (lo, hi). Only the order of the work
-    differs. The search keeps the tested points a < b nearest the sign
-    change and the node (lo, hi) of bisection's tree that holds them. A
-    midpoint of (lo, hi) outside (a, b) takes its side from a or b
-    without a trajectory. A midpoint inside needs a test, and the point
-    tested is chosen by an Illinois regula falsi step (Dowell & Jarratt
-    1971) on the tail value u of `_divergence_side`, rounded to the
-    deepest tree node inside (a, b); without a usable u (no real N=1
-    decay rate, a non-finite u, or a u whose sign is not the side) it is
-    the midpoint itself. When the side changes once inside the bracket
-    every inferred side is the side bisection would compute, so the
-    result is the same float."""
+    midpoint of its final leaf. It runs `bisect_sign` on the bracket, and
+    only the order of the work differs. The search keeps the tested
+    points a < b nearest the sign change. A tree midpoint outside (a, b)
+    takes its side from a or b without a trajectory. A midpoint inside
+    needs a test, and the point tested is chosen by an Illinois regula
+    falsi step (Dowell & Jarratt 1971) on the tail value u of
+    `_divergence_side`, rounded to the deepest node inside (a, b) on the
+    tree path toward it (one more `bisect_sign` walk from the bracket);
+    without a usable u (no real N=1 decay rate, a non-finite u, or a u
+    whose sign is not the side) it is the midpoint itself. When the side
+    changes once inside the bracket every inferred side is the side
+    bisection would compute, so the result is the same float."""
     if cfg is None:
         cfg = IntegratorConfig()
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -516,30 +480,42 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
             f"both endpoints diverge the same way (side {side_lo:+d})")
     a, b = lo, hi
     moved = 0  # end replaced by the last test: -1 for a, +1 for b
-    while hi - lo > LEAF_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        if mid <= a:
-            lo = mid
-            continue
-        if mid >= b:
-            hi = mid
-            continue
-        p = mid
-        if (math.isfinite(ua) and math.isfinite(ub)
-                and ua * side_lo > 0 and ub * side_hi > 0):
-            x = b - ub * (b - a) / (ub - ua)
-            # rounding can put x on a or b; aim just inside instead
-            x = min(max(x, math.nextafter(a, b)), math.nextafter(b, a))
-            p = _tree_point(lo, hi, x, a, b)
-        side, u = _divergence_side(params, p, cfg, eta_max, growth)
-        if side == side_lo:
-            if moved < 0:  # b kept twice: Illinois halves its weight
-                ub *= 0.5
-            a, ua, moved = p, u, -1
-        else:
-            if moved > 0:
-                ua *= 0.5
-            b, ub, moved = p, u, 1
-    return 0.5 * (lo + hi)
+
+    def side_at(mid):
+        # a tree midpoint outside the tested (a, b) takes its side from
+        # there; inside, test points until it lies outside
+        nonlocal a, b, ua, ub, moved
+        while a < mid < b:
+            p = mid
+            if (math.isfinite(ua) and math.isfinite(ub)
+                    and ua * side_lo > 0 and ub * side_hi > 0):
+                x = b - ub * (b - a) / (ub - ua)
+                # rounding can put x on a or b; aim just inside instead
+                p = tree_point(min(max(x, math.nextafter(a, b)),
+                                   math.nextafter(b, a)))
+            side, u = _divergence_side(params, p, cfg, eta_max, growth)
+            if side == side_lo:
+                if moved < 0:  # b kept twice: Illinois halves its weight
+                    ub *= 0.5
+                a, ua, moved = p, u, -1
+            else:
+                if moved > 0:
+                    ua *= 0.5
+                b, ub, moved = p, u, 1
+        return side_lo if mid <= a else side_hi
+
+    def tree_point(x):
+        # the deepest midpoint inside (a, b) on bisection's path from the
+        # bracket toward x; the path passes the node whose midpoint
+        # side_at was asked for, which lies in (a, b)
+        inside = []
+
+        def toward_x(m):
+            if a < m < b:
+                inside.append(m)
+            return 1 if x < m else -1
+        bisect_sign(toward_x, lo, hi, -1, LEAF_WIDTH)
+        return inside[-1]
+
+    leaf = bisect_sign(side_at, lo, hi, side_lo, LEAF_WIDTH)
+    return (leaf[0] + leaf[1]) / 2

@@ -70,50 +70,10 @@ def to_exact(value) -> Fraction:
 @dataclass(frozen=True)
 class AlphaPolynomial:
     """Univariate polynomial in alpha with exact rational coefficients,
-    coeffs[k] multiplying alpha^k. Canonical: trailing zeros trimmed, the
-    zero polynomial is the empty tuple."""
+    coeffs[k] multiplying alpha^k. The table's entries are canonical:
+    trailing zeros trimmed, the zero polynomial is the empty tuple."""
 
     coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(coeffs: Sequence) -> "AlphaPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return AlphaPolynomial(tuple(cs))
-
-    @staticmethod
-    def constant(c) -> "AlphaPolynomial":
-        return AlphaPolynomial.make([c])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "AlphaPolynomial") -> "AlphaPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return AlphaPolynomial.make(out)
-
-    def __mul__(self, other: "AlphaPolynomial") -> "AlphaPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return AlphaPolynomial(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return AlphaPolynomial.make(out)
-
-    def scale(self, c) -> "AlphaPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return AlphaPolynomial(())
-        return AlphaPolynomial(tuple(x * c for x in self.coeffs))
 
     def __call__(self, alpha: Fraction) -> Fraction:
         # Horner, highest degree first, for determinism

@@ -7,7 +7,7 @@ import pytest
 from mhdsheet import HankelConfig, ansatz, hankel, ivp
 from mhdsheet.cli import build_parser, main
 
-from conftest import PAPER_ALPHA
+from conftest import PAPER_ALPHA, deadline
 
 # small Hankel depth keeps CLI runs fast; the paper case settles early
 FAST = ["--M", "2", "--m", "2", "--s", "1.8", "--Dmax", "14"]
@@ -99,6 +99,17 @@ class TestSolve:
         code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8"])
         assert code == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
+
+    def test_tol_below_float_resolution_ends(self, capsys):
+        # tol 1e-300 is far below the float spacing at alpha ~ 4: the
+        # bisection stops at float resolution and prints the alpha of the
+        # default tol; bisecting on down to 1e-300 would take ~24 s
+        with deadline(5):
+            code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8",
+                         "--Dmax", "10", "--tol", "1e-300"])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alpha_hankel"]["value"] == 4.19551922448
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

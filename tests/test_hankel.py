@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from mhdsheet import hankel
 from mhdsheet.hankel import _bareiss_sign, _condensation_sign, _int_matrix
 from mhdsheet.polyseries import TaylorTable
 
-from conftest import clear_by_lcm
+from conftest import clear_by_lcm, deadline
 
 
 def synthetic_table(entries):
@@ -56,6 +57,24 @@ class TestEntries:
         assert HankelConfig(seed=4.0, d=-1).d == -1
         with pytest.raises(ValueError, match=">= -1"):
             HankelConfig(seed=4.0, d=-2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", math.nan), ("seed", math.inf), ("seed", -math.inf),
+        ("bracket_halfwidth", math.nan), ("bracket_halfwidth", math.inf),
+        ("bracket_halfwidth", -1.0)])
+    def test_degenerate_seed_and_halfwidth_rejected(self, field, value):
+        # the CLI's placeholder seed 0.0 stays valid
+        assert HankelConfig(seed=0.0).halfwidth == 0
+        with pytest.raises(ValueError, match=field):
+            HankelConfig(**{"seed": 4.0, field: value})
+
+    def test_zero_halfwidth_is_no_sign_change(self, paper_params):
+        tab = taylor_table(paper_params, 8)
+        with pytest.raises(NoSignChange, match="empty bracket"):
+            find_root(tab, HankelConfig(seed=0.0), 2, 0.0)
+        with pytest.raises(NoSignChange) as exc:
+            alpha_sequence(paper_params, HankelConfig(seed=0.0, D_max=4))
+        assert exc.value.D == 4
 
     def test_insufficient_order_rejected(self, paper_params):
         tab = taylor_table(paper_params, 6)
@@ -245,6 +264,20 @@ class TestRescaledSequence:
         assert len(ts) * A + s * sum(ts) == best
 
 
+def record_sign_points(monkeypatch):
+    """A list to which each alpha that `hankel.det_sign_at` is asked about
+    is appended, in order."""
+    points = []
+    real = hankel.det_sign_at
+
+    def recorded(table, d, D, alpha):
+        points.append(alpha)
+        return real(table, d, D, alpha)
+
+    monkeypatch.setattr(hankel, "det_sign_at", recorded)
+    return points
+
+
 class TestFindRoot:
     def test_synthetic_rank_deficiency_root(self):
         # f_j(alpha) = 2^-j + (alpha - c) * j / 3^j: at alpha = c the
@@ -291,6 +324,24 @@ class TestFindRoot:
         assert all(p.denominator & (p.denominator - 1) == 0 for p in points)
 
 
+    def test_bisection_stops_at_float_resolution(self, monkeypatch):
+        # f_3 = alpha - c with c = 2^40 + 1/3: tol 1e-10 lies below the
+        # float spacing 2^-12 there, so the bisection ends once its
+        # midpoint can move by at most one spacing, not at tol
+        c = Fraction(2 ** 40) + Fraction(1, 3)
+        tab = synthetic_table([0, 0, 0, [-c, 1]])
+        cfg = HankelConfig(seed=2.0 ** 40, d=1)
+        points = record_sign_points(monkeypatch)
+        with deadline(5):
+            root = find_root(tab, cfg, 1, cfg.seed)
+        # scan spacing h = 2^33; the scan's points are its multiples
+        h = Fraction(2) ** 33
+        bisection = [p for p in points if p % h]
+        assert len(bisection) <= math.log2(h / math.ulp(float(c))) + 2
+        # bisecting down to tol 1e-10 takes 67 steps; float(c) is the
+        # nearest float to the root
+        assert abs(root - float(c)) <= math.ulp(float(c))
+
     def test_signs_no_point_twice(self, paper_params, monkeypatch):
         # the scan's sign at the bracket's left end carries into the
         # bisection instead of being evaluated again
@@ -307,6 +358,23 @@ class TestFindRoot:
         root = find_root(tab, cfg, 8, cfg.seed)
         assert root == pytest.approx(4.1952797646, abs=1e-9)
         assert len(points) == len(set(points))
+
+    def test_frozen_sign_points(self, paper_params, monkeypatch):
+        # the setup above; every alpha signed, recorded before find_root
+        # moved onto the package's one bisection loop: the scan of i / 512,
+        # then the bisection of [2147/512, 2148/512] down to tol
+        tab = taylor_table(paper_params, 2 * 8 - 1)
+        cfg = HankelConfig(seed=4.2, bracket_halfwidth=0.02, scan_points=17)
+        points = record_sign_points(monkeypatch)
+        find_root(tab, cfg, 8, cfg.seed)
+        assert points == (
+            [Fraction(i, 512) for i in range(2140, 2162)]
+            + [Fraction(k, 2 ** e) for e, k in enumerate([
+                4295, 8591, 17183, 34367, 68735, 137471, 274941, 549883,
+                1099767, 2199535, 4399069, 8798139, 17596279, 35192557,
+                70385115, 140770229, 281540459, 563080919, 1126161837,
+                2252323673, 4504647347, 9009294693, 18018589387,
+                36037178773, 72074357547], start=10)])
 
 
 class TestAlphaSequence:
@@ -357,6 +425,27 @@ class TestAlphaSequence:
             (18, 4.20411389079527)]
         assert seq.skipped == [5, 10]
         assert seq.alpha_star == 4.20411389079527
+
+    def test_default_offset_paper_signs_are_frozen(self, paper_params,
+                                                   monkeypatch):
+        # every (D, alpha, sign) that det_sign_at answers in the sequence
+        # above, recorded before find_root moved onto the package's one
+        # bisection loop: SHA-256 of the repr of the list of
+        # (D, numerator, denominator, sign)
+        signs = []
+        real = hankel.det_sign_at
+
+        def recorded(table, d, D, alpha):
+            sign = real(table, d, D, alpha)
+            signs.append((D, alpha.numerator, alpha.denominator, sign))
+            return sign
+
+        monkeypatch.setattr(hankel, "det_sign_at", recorded)
+        alpha_sequence(paper_params,
+                       HankelConfig(seed=solve_n1(paper_params).beta, D_max=30))
+        assert len(signs) == 1019
+        assert hashlib.sha256(repr(signs).encode()).hexdigest() == (
+            "9b7f7373e6df5cbe875fa746cbb7523f3b15c6ce2394921d337238b836a99f98")
 
     def test_denominator_100_sequence_is_frozen(self):
         # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry

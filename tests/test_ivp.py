@@ -304,12 +304,49 @@ BRACKETS = [
 ]
 
 
+# shoot_refine's (alpha, trajectories) on each of BRACKETS, recorded
+# before shooting moved onto the package's one bisection loop
+BRACKET_RECORDS = [
+    (4.204113397002221, 11), (4.204113397002221, 11),
+    (2.3027756348252293, 8), (2.8916046556085346, 15),
+    (4.204113399027497, 11),
+]
+
+# (M, m, s) -> (alpha, trajectories) with the shoot-profile benchmark's
+# bracket est +- 0.1 max(1, |est|) around the N=4 estimate, at the points
+# of that benchmark's first two rounds for seed 1; recorded as above
+PROFILE_RECORDS = {
+    (1.73, 0.0, 1.07): (1.5251994437082954, 15),
+    (2.19, 1.0, 1.81): (3.0532841945263485, 6),
+    (1.27, 1.47, 1.97): (3.0241150691500795, 10),
+    (2.61, 0.0, 1.59): (2.478998455298492, 11),
+    (1.79, 1.0, 2.17): (2.92383795262744, 9),
+    (1.67, 0.57, 2.29): (2.198831537158722, 14),
+}
+
+
 class TestGuidedShooting:
     @pytest.mark.parametrize("params,bracket", BRACKETS)
     def test_same_float_as_bisection(self, params, bracket):
         alpha, n, ref, n_ref = guided_and_reference(params, bracket)
         assert alpha == ref
         assert n <= n_ref
+
+    @pytest.mark.parametrize("case,record", zip(BRACKETS, BRACKET_RECORDS))
+    def test_frozen_brackets(self, case, record):
+        params, bracket = case
+        with counting_trajectories() as n:
+            alpha = shoot_refine(params, bracket)
+        assert (alpha, n[0]) == record
+
+    @pytest.mark.parametrize("point", list(PROFILE_RECORDS))
+    def test_frozen_profile_points(self, point):
+        params = ModelParams(*point)
+        est = solve_general(params, 4).alpha_est
+        w = 0.1 * max(1.0, abs(est))
+        with counting_trajectories() as n:
+            alpha = shoot_refine(params, (est - w, est + w))
+        assert (alpha, n[0]) == PROFILE_RECORDS[point]
 
     def test_paper_bracket_trajectories(self):
         with counting_trajectories() as n:
