@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
-import numpy as np
-
+from ._bisection import bisect_sign
 from .model import ModelParams
 
 
@@ -137,47 +137,62 @@ def _n2_coeffs(params: ModelParams, beta: float) -> list[float]:
     return [b0, b1, b2]
 
 
+def _real_roots(c: list[float]) -> list[float]:
+    """Real roots, ascending, of p(x) = sum c[i] x^(d-i), c[0] != 0: the real
+    roots of p' cut the Cauchy-bound interval into monotone pieces; a piece
+    end where p is 0 is a root, and a piece whose ends differ in sign is
+    bisected to adjacent floats, keeping the end with the smaller |p|."""
+    d = len(c) - 1
+    if d < 1:
+        return []
+
+    def p(x):
+        return reduce(lambda acc, ci: acc * x + ci, c, 0.0)
+    bound = 1 + max(abs(ci / c[0]) for ci in c)
+    dp = [(d - i) / d * ci for i, ci in enumerate(c[:-1])]  # p' / d: no overflow
+    ends = [-bound, *_real_roots(dp), bound]
+    roots = {x for x in ends if p(x) == 0}
+    for a, b in zip(ends, ends[1:]):
+        if min(p(a), p(b)) < 0 < max(p(a), p(b)):
+            a, b = bisect_sign(p, a, b, p(a), 0.0)
+            roots.add(min((a, b), key=lambda x: abs(p(x))))
+    return sorted(roots)
+
+
 def solve_n2(params: ModelParams) -> AnsatzSolution:
     """Closed-form N=2 solution: beta is a positive real root of an
     explicit quartic, with b_0, b_1, b_2 rational in beta.
 
     Root selection (several positive roots are possible): keep roots with
-    |b_2| < |b_1|, pick the one minimizing |b_2/b_1|, ties broken by
-    proximity to the N=1 beta.
+    |b_2| < |b_1|, pick the one minimizing |b_2/b_1| (a b_2 within the
+    rounding of its numerator counts as 0), ties broken by proximity to the
+    N=1 beta.
     """
-    if params.m == 0:
+    M2, m, s = params.M ** 2, params.m, params.s
+    if m == 0:
         raise RequiresNonzeroM("the N=2 coefficient formulas divide by m")
     coeffs = _quartic_coeffs(params)
     if not all(math.isfinite(c) for c in coeffs):
         raise NoPhysicalRoot("the N=2 quartic's coefficients overflow")
-    roots = np.roots(coeffs)
-    poly = np.polynomial.Polynomial(coeffs[::-1])
-    dpoly = poly.deriv()
     try:
         beta1 = solve_n1(params).beta
     except ComplexDecay:
         beta1 = None
 
     candidates = []
-    for r in roots:
-        if abs(r.imag) > 1e-8 * (1 + abs(r)):
-            continue
-        beta = r.real
-        # Newton polish against the exact quartic
-        for _ in range(50):
-            p, dp = poly(beta), dpoly(beta)
-            if dp == 0:
-                break
-            step = p / dp
-            beta -= step
-            if abs(step) < 1e-15 * (1 + abs(beta)):
-                break
+    for beta in _real_roots(coeffs):
         if beta <= 0:
             continue
         b = _n2_coeffs(params, beta)
         if abs(b[2]) >= abs(b[1]):
             continue
-        ratio = abs(b[2] / b[1]) if b[1] != 0 else math.inf
+        # b_2 within the rounding of its numerator counts as zero: at m = 1
+        # two roots have b_2 = 0 exactly, and the N=1 tie-break decides
+        scale = max(beta * beta, M2, abs(m) * (1 + abs(beta * s)))
+        if abs(b[2] * m * beta) <= 8 * math.ulp(1.0) * scale:
+            ratio = 0.0
+        else:
+            ratio = abs(b[2] / b[1]) if b[1] != 0 else math.inf
         near = abs(beta - beta1) if beta1 is not None else 0.0
         candidates.append((ratio, near, beta, b))
     if not candidates:
@@ -188,38 +203,36 @@ def solve_n2(params: ModelParams) -> AnsatzSolution:
     return _finish(params, beta, b)
 
 
-def _system(params: ModelParams, x: np.ndarray, N: int) -> np.ndarray:
+def _system(params: ModelParams, x: list[float], N: int) -> list[float]:
     b = x[:N + 1]
     beta = x[N + 1]
-    g = np.empty(N + 2)
-    g[0] = b.sum() - params.s
-    g[1] = beta * sum(j * b[j] for j in range(N + 1)) - 1.0
-    g[2:] = _modes(params, beta, b)[:N]
-    return g
+    return [sum(b) - params.s,
+            beta * sum(j * b[j] for j in range(N + 1)) - 1.0,
+            *_modes(params, beta, b)[:N]]
 
 
-def _jacobian(params: ModelParams, x: np.ndarray, N: int) -> np.ndarray:
+def _jacobian(params: ModelParams, x: list[float], N: int) -> list[list[float]]:
     M2 = params.M ** 2
     m = params.m
     b = x[:N + 1]
     beta = x[N + 1]
-    J = np.zeros((N + 2, N + 2))
-    J[0, :N + 1] = 1.0
-    J[1, :N + 1] = [beta * j for j in range(N + 1)]
-    J[1, N + 1] = sum(j * b[j] for j in range(N + 1))
+    J = [[0.0] * (N + 2) for _ in range(N + 2)]
+    J[0][:N + 1] = [1.0] * (N + 1)
+    J[1][:N + 1] = [beta * j for j in range(N + 1)]
+    J[1][N + 1] = sum(j * b[j] for j in range(N + 1))
     for row, j in enumerate(range(1, N + 1), start=2):
         # d R_j / d b_l
-        J[row, j] += j * beta * (M2 - j * j * beta * beta)
+        J[row][j] += j * beta * (M2 - j * j * beta * beta)
         for l in range(N + 1):
             k = j - l
             if l >= 1 and 1 <= k <= N:
-                J[row, l] += -2 * beta * beta * l * k * b[k]
+                J[row][l] += -2 * beta * beta * l * k * b[k]
             if 0 <= k <= N:
                 # m-term: l as the f index (k as f'' index) and vice versa
                 if k >= 1:
-                    J[row, l] += m * beta * beta * k * k * b[k]
+                    J[row][l] += m * beta * beta * k * k * b[k]
                 if l >= 1:
-                    J[row, l] += m * beta * beta * l * l * b[k]
+                    J[row][l] += m * beta * beta * l * l * b[k]
         # d R_j / d beta
         db = j * (M2 - 3 * j * j * beta * beta) * b[j] if j <= N else 0.0
         for i in range(max(1, j - N), min(N, j - 1) + 1):
@@ -227,7 +240,7 @@ def _jacobian(params: ModelParams, x: np.ndarray, N: int) -> np.ndarray:
         for i in range(max(0, j - N), min(N, j - 1) + 1):
             k = j - i
             db += 2 * m * beta * k * k * b[i] * b[k]
-        J[row, N + 1] = db
+        J[row][N + 1] = db
     return J
 
 
@@ -236,6 +249,7 @@ def solve_general(params: ModelParams, N: int,
     """Damped Newton on the (N+2)-equation defining system with an
     analytically assembled Jacobian. Seeds from `init`, else the N=2
     closed form padded with zeros, else N=1."""
+    import numpy as np  # for the linear solve and the residual norm
     if N < 1:
         raise ValueError("N must be >= 1")
     if init is None:
@@ -243,8 +257,7 @@ def solve_general(params: ModelParams, N: int,
             init = solve_n2(params) if N >= 2 else solve_n1(params)
         except (RequiresNonzeroM, NoPhysicalRoot):
             init = solve_n1(params)
-    b0 = list(init.b[:N + 1]) + [0.0] * (N - init.N)
-    x = np.array(b0 + [init.beta])
+    x = list(init.b[:N + 1]) + [0.0] * (N - init.N) + [init.beta]
 
     g = _system(params, x, N)
     norm = np.max(np.abs(g))
@@ -253,22 +266,23 @@ def solve_general(params: ModelParams, N: int,
             break
         J = _jacobian(params, x, N)
         try:
-            step = np.linalg.solve(J, g)
+            step = np.linalg.solve(J, g).tolist()
         except np.linalg.LinAlgError as e:
             raise NoConvergence(f"singular Jacobian: {e}", residual=norm)
         lam = 1.0
         for _ in range(20):
-            x_new = x - lam * step
+            x_new = [xi - lam * si for xi, si in zip(x, step)]
             g_new = _system(params, x_new, N)
             norm_new = np.max(np.abs(g_new))
             if norm_new < norm:
                 break
             lam *= 0.5
         x, g, norm = x_new, g_new, norm_new
-    if norm >= 1e-10:
+    # written so that a nan residual or beta fails the test
+    if not norm < 1e-10:
         raise NoConvergence(f"Newton stalled at residual {norm:g}", residual=norm)
-    beta = float(x[N + 1])
-    if beta <= 0:
+    beta = x[N + 1]
+    if not beta > 0:
         raise NoConvergence(f"converged to nonphysical beta {beta:g}", residual=norm)
     return _finish(params, beta, x[:N + 1])
 

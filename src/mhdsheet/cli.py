@@ -41,7 +41,7 @@ STOP_ERRORS = (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,
 
 class UsageError(Exception):
     """A flag value outside the bound that its config class or
-    `ivp.integrate` enforces."""
+    `ivp.integrate` enforces, or an output that cannot be written."""
 
 
 def _checked(make, *args, **kwargs):
@@ -235,11 +235,14 @@ def cmd_scan(args) -> int:
 
 
 def _write_out(path, text: str):
-    if path:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if path:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError(str(e)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, UsageError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except STOP_ERRORS as e:

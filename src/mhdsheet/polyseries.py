@@ -34,8 +34,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .model import ModelParams
 
 
@@ -170,6 +168,8 @@ def pade(series: Sequence[float], L: int, K: int) -> PadeApproximant:
     Denominator coefficients solve the K x K Toeplitz system that matches
     orders L+1 .. L+K; the numerator follows by convolution.
     """
+    import numpy as np  # the Toeplitz solve and its condition number
+
     c = [float(x) for x in series]
     if len(c) < L + K + 1:
         raise ValueError(f"need at least {L + K + 1} series coefficients, got {len(c)}")

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mhdsheet import (AnsatzSolution, ComplexDecay, IntegratorConfig,
                       ModelParams, NoConvergence, NoPhysicalRoot, RequiresNonzeroM,
                       eval_ansatz, integrate, residual_modes, solve_general,
                       solve_n1, solve_n2)
-from mhdsheet.ansatz import _modes
+from mhdsheet.ansatz import _modes, _real_roots
 
 from conftest import PAPER_ALPHA
 
@@ -141,6 +141,64 @@ class TestN2:
         assert sol.beta == pytest.approx(n1.beta, rel=1e-8)
         assert sol.b[2] == pytest.approx(0.0, abs=1e-8)
 
+    @given(st.floats(0.05, 1, exclude_min=True, exclude_max=True),
+           st.floats(0, 4))
+    @example(0.5464989686537529, 2.965007424805961)
+    @settings(max_examples=200, deadline=None)
+    def test_m1_picks_the_n1_root(self, M, s):
+        # at m = 1 the quartic is (beta^2 - s beta + 1 - M^2)(4 beta^2 + 2 M^2)
+        # and b_2 = 0 at both roots of the first factor, so only the N=1
+        # tie-break can choose between them
+        params = ModelParams(M, 1.0, s)
+        try:
+            n1 = solve_n1(params)
+        except ComplexDecay:
+            return
+        # the other root, s - beta_1, is not a near-double root
+        assume(2 * n1.beta - s > 1e-3 * n1.beta)
+        sol = solve_n2(params)
+        assert sol.beta == pytest.approx(n1.beta, rel=1e-12)
+        assert sol.b[2] == pytest.approx(0.0, abs=1e-12)
+
+
+def horner(c, x):
+    acc = 0.0
+    for ci in c:
+        acc = acc * x + ci
+    return acc
+
+
+LEAD = st.floats(0.5, 8) | st.floats(-8, -0.5)
+
+
+class TestRealRoots:
+    @given(LEAD, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_each_root_is_a_zero_or_a_sign_change(self, lead, rest):
+        c = [lead, *rest]
+        roots = _real_roots(c)
+        assert roots == sorted(set(roots))
+        for r in roots:
+            near = [horner(c, x) for x in
+                    (math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf))]
+            assert near[1] == 0 or min(near) < 0 < max(near)
+
+    @given(LEAD, st.floats(-5, 0), st.lists(st.floats(0.5, 3), min_size=1,
+                                            max_size=3),
+           st.floats(-3, 3), st.floats(0.1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_separated_roots_are_found(self, lead, first, gaps, re, im):
+        # (x - r_1)...(x - r_k), times a complex pair re +- i im when k = 2
+        known = list(np.cumsum([first, *gaps]))
+        c = np.poly(known) * lead
+        if len(known) == 2:
+            c = np.polymul(c, [1.0, -2 * re, re * re + im * im])
+        c = [float(x) for x in c]
+        reference = sorted(r.real for r in np.roots(c) if abs(r.imag) < 1e-6)
+        roots = _real_roots(c)
+        assert roots == pytest.approx(known, rel=1e-9, abs=1e-9)
+        assert roots == pytest.approx(reference, rel=1e-9, abs=1e-9)
+
 
 class TestGeneral:
     def test_reproduces_n2_at_N2(self, paper_params):
@@ -166,14 +224,25 @@ class TestGeneral:
         from mhdsheet.ansatz import _jacobian, _system
         N = 3
         x = np.array([1.5, 0.2, 0.05, 0.01, 4.0])
-        J = _jacobian(paper_params, x, N)
+        J = np.array(_jacobian(paper_params, list(x), N))
         h = 1e-7
         for col in range(N + 2):
             e = np.zeros(N + 2)
             e[col] = h
-            fd = (_system(paper_params, x + e, N)
-                  - _system(paper_params, x - e, N)) / (2 * h)
+            fd = (np.array(_system(paper_params, list(x + e), N))
+                  - np.array(_system(paper_params, list(x - e), N))) / (2 * h)
             assert J[:, col] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+    @given(st.floats(40, 60), st.floats(-0.01, 0.01), st.floats(-3, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_huge_M_is_finite_or_named_error(self, log_M, m, s):
+        # overflow inside Newton must end in a named error, never in a nan
+        # beta; where it first overflows moves by ulps, so sample a family
+        try:
+            sol = solve_general(ModelParams(10 ** log_M, m, s), 4)
+        except (NoConvergence, ComplexDecay):
+            return
+        assert math.isfinite(sol.beta) and math.isfinite(sol.alpha_est)
 
     def test_bad_N_rejected(self, paper_params):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mhdsheet
 from mhdsheet import HankelConfig, ansatz, hankel, ivp
 from mhdsheet.cli import build_parser, main
 
@@ -247,6 +251,60 @@ def test_bad_flag_value_is_usage_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    code = main(["profile", *PAPER, "--alpha", "4.2", "--eta-max", "1",
+                 "--out", str(tmp_path / "missing" / "profile.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+
+
+def test_timeout_is_not_an_output_error(monkeypatch):
+    # TimeoutError is an OSError, but only a failed write of the output
+    # maps to exit code 1; anything else propagates out of main
+    def expire(params, cfg):
+        raise TimeoutError("stub")
+    monkeypatch.setattr(hankel, "alpha_sequence", expire)
+    with pytest.raises(TimeoutError):
+        main(["solve", *PAPER])
+
+
+class TestWithoutNumpy:
+    """Every command in a fresh interpreter where numpy cannot be
+    imported: only `pade` and `solve_general` need it."""
+
+    SCRIPT = ("import sys; sys.modules['numpy'] = None; "
+              "from mhdsheet.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def run(self, *argv):
+        src = str(Path(mhdsheet.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_solve(self):
+        assert self.run("solve", *PAPER) == PAPER_SOLVE_STDOUT
+
+    def test_profile(self):
+        out = self.run("profile", *PAPER, "--alpha", f"{PAPER_ALPHA}",
+                       "--eta-max", "2", "--stride", "0.5")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(len(r) == 4 and all(r) for r in rows)
+
+    def test_scan(self):
+        out = self.run("scan", *FAST, "--sweep", "s", "--start", "1.8",
+                       "--stop", "1.9", "--count", "2")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[1] for r in rows] == ["1.8", "1.9"]
+        assert [r[-1] for r in rows] == ["ok", "ok"]
 
 
 class TestParser:
