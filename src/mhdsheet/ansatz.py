@@ -27,11 +27,11 @@ from .model import ModelParams
 class ComplexDecay(Exception):
     """No real, positive, finite N=1 decay rate: the discriminant
     4M^2 + m^2 s^2 - 4m is negative, or the closed-form beta is not
-    positive, or it overflows."""
+    positive, or it or its inverse overflows."""
 
 
 class RequiresNonzeroM(Exception):
-    """The N=2 closed form divides by m; m = 0 is not admissible."""
+    """The N=2 closed form divides by m; |m| < 1e-6 is not admissible."""
 
 
 class NoPhysicalRoot(Exception):
@@ -113,6 +113,8 @@ def solve_n1(params: ModelParams) -> AnsatzSolution:
         raise ComplexDecay(f"closed-form beta {beta:g} is not positive")
     if not math.isfinite(beta):
         raise ComplexDecay(f"closed-form beta {beta:g} is not finite")
+    if not math.isfinite(1 / beta):  # subnormal beta
+        raise ComplexDecay(f"closed-form beta {beta:g} has no finite 1/beta")
     return _finish(params, beta, [s - 1 / beta, 1 / beta])
 
 
@@ -169,8 +171,11 @@ def solve_n2(params: ModelParams) -> AnsatzSolution:
     N=1 beta.
     """
     M2, m, s = params.M ** 2, params.m, params.s
-    if m == 0:
-        raise RequiresNonzeroM("the N=2 coefficient formulas divide by m")
+    # below |m| = 1e-6 the quartic has a near-double root at beta ~ M that
+    # rounding alone splits, so the outcome would be noise
+    if abs(m) < 1e-6:
+        raise RequiresNonzeroM("the N=2 coefficient formulas divide by m; "
+                               "|m| < 1e-6 is not admissible")
     coeffs = _quartic_coeffs(params)
     if not all(math.isfinite(c) for c in coeffs):
         raise NoPhysicalRoot("the N=2 quartic's coefficients overflow")

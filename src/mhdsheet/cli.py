@@ -8,9 +8,10 @@ Subcommands:
   scan     -- parameter sweep; one CSV row per point.
 
 All three format the result of one pipeline, `_run`: the N=1 and N=2
-ansatz seeds, the Hankel alpha (unless `profile --alpha` gives it), the
-profile integrated from that alpha and the `STOP_ERRORS` member that
-stopped it, if any.
+ansatz solutions, the Hankel alpha from the sequence seeded with the N=1
+beta (unless `profile --alpha` gives it), the profile integrated from
+that alpha and the `STOP_ERRORS` member that stopped it, if any. The
+Hankel flags --d, --Dmax and --tol are exactly `hankel.HankelConfig`.
 
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
@@ -26,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -77,9 +78,9 @@ def _params(args) -> ModelParams:
 
 
 def _hankel_config(args) -> hankel.HankelConfig:
-    """The Hankel flags, checked before any stage runs; `_run` sets the
-    seed from the N=1 ansatz."""
-    return _checked(hankel.HankelConfig, seed=0.0, d=args.d, D_max=args.Dmax,
+    """The Hankel flags, checked before any stage runs; `_run` seeds the
+    sequence with the N=1 beta."""
+    return _checked(hankel.HankelConfig, d=args.d, D_max=args.Dmax,
                     tol=args.tol)
 
 
@@ -138,7 +139,7 @@ def _run(params: ModelParams, hcfg: hankel.HankelConfig,
         except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
             run.a2_error = e
         if alpha is None:
-            run.seq = hankel.alpha_sequence(params, replace(hcfg, seed=run.a1.beta))
+            run.seq = hankel.alpha_sequence(params, hcfg, run.a1.beta)
             alpha = run.seq.alpha_star
         run.prof = _checked(ivp.integrate, params, alpha, icfg)
     except STOP_ERRORS as e:

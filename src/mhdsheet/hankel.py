@@ -24,7 +24,9 @@ the paper case at D = 18 and 30. The sign of det[c_{i+j}] comes from
 Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
 of the same integer matrix decides instead. Root location is a dyadic-point scan
-followed by exact-sign bisection on the package's one bisection loop,
+of the window that `alpha_sequence` picks for each D (the one config,
+`HankelConfig`, holds just d, D_max and tol) followed by exact-sign
+bisection on the package's one bisection loop,
 `_bisection.bisect_sign`, which stops at cfg.tol or at float resolution,
 whichever comes first. No floating-point cancellation can ever flip a
 bracket, and no float fallback is substituted silently.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._bisection import bisect_sign
@@ -62,32 +64,17 @@ class MultipleRootsWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HankelConfig:
-    seed: float
     d: int = -1  # first entry f_{d+2}; d = -1 is the Hankel-Pade H_D^0
     D_max: int = 30
-    bracket_halfwidth: float = 0.0  # 0 -> default 0.5*|seed|
     tol: float = 1e-10
-    scan_points: int = 129
 
     def __post_init__(self):
-        if not math.isfinite(self.seed):
-            raise ValueError("seed must be finite")
-        if not 0 <= self.bracket_halfwidth < math.inf:  # nan included
-            raise ValueError("bracket_halfwidth must be >= 0 and finite")
         if self.d < -1:
             raise ValueError("d must be >= -1 (the first entry is f_{d+2}, at lowest f_1)")
         if self.D_max < 2:
             raise ValueError("D_max must be >= 2")
         if not self.tol > 0:  # nan included
             raise ValueError("tol must be positive")
-        if self.scan_points < 3:
-            raise ValueError("scan_points must be >= 3")
-
-    @property
-    def halfwidth(self) -> float:
-        if self.bracket_halfwidth > 0:
-            return self.bracket_halfwidth
-        return 0.5 * abs(self.seed)
 
 
 @dataclass
@@ -95,7 +82,6 @@ class RootSequence:
     roots: list[tuple[int, float]] = field(default_factory=list)
     converged: bool = False
     alpha_star: float = math.nan
-    deltas: list[float] = field(default_factory=list)
     skipped: list[int] = field(default_factory=list)  # D with no nearby root
 
 
@@ -288,22 +274,25 @@ def det_sign_at(table: TaylorTable, d: int, D: int, alpha: Fraction) -> int:
     return _condensation_sign(_hankel_sequence(table, d, D, Fraction(alpha)))
 
 
-def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> float:
+def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
+              w: float, n: int) -> float:
     """Locate a root of the Hankel determinant near `guess`.
 
-    Scans dyadic points across [guess - w, guess + w] for a sign change,
-    then bisects the chosen bracket with exact signs at dyadic midpoints
-    (`bisect_sign`, from the sign the scan found at its left end, so no
-    point is signed twice) until its width is <= cfg.tol or the float of
-    its midpoint can move by at most one spacing. Floats are exactly
-    dyadic, so every evaluation point stays an exact rational. Raises
-    NoSignChange when the scan finds no sign change or w is 0.
+    Scans about n dyadic points across [guess - w, guess + w] for a sign
+    change, then bisects the chosen bracket with exact signs at dyadic
+    midpoints (`bisect_sign`, from the sign the scan found at its left
+    end, so no point is signed twice) until its width is <= cfg.tol or the
+    float of its midpoint can move by at most one spacing. Floats are
+    exactly dyadic, so every evaluation point stays an exact rational.
+    Raises NoSignChange when the scan finds no sign change or w is 0.
     """
-    w = cfg.halfwidth
-    if not w > 0:  # seed 0 with the default half-width
+    if not 0 <= w < math.inf:  # nan included
+        raise ValueError("half-width w must be >= 0 and finite")
+    if n < 3:
+        raise ValueError("scan count n must be >= 3")
+    if w == 0:  # seed 0
         raise NoSignChange(f"empty bracket at {guess:g} for D={D}; "
-                           "give a nonzero seed or half-width", D=D)
-    n = cfg.scan_points
+                           "give a nonzero seed", D=D)
     # snap the scan onto a power-of-two grid of spacing 2^-g: short dyadic
     # evaluation points keep the exact determinant arithmetic cheap, and
     # bisection midpoints then grow only one bit per step; g < 0 (spacing
@@ -340,30 +329,35 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float) -> fl
     return float((lo + hi) / 2)
 
 
-def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
+def alpha_sequence(params: ModelParams, cfg: HankelConfig,
+                   seed: float) -> RootSequence:
     """Track the convergent root sequence alpha_D for D = 2 .. D_max.
 
-    Continuation: each D is seeded with the previous root (cfg.seed to
+    Continuation: each D is seeded with the previous root (`seed` to
     start). At some dimensions the determinant has no real root near the
     physical value (the root pair moves off the real axis); such D are
-    recorded in `skipped` and the seed is kept. Once deltas are
-    available the search bracket is shrunk to the recent step size, which
-    both keeps the exact arithmetic affordable at large D and excludes
-    spurious far-away roots from derailing the continuation. Stops early
-    when three consecutive deltas fall below SEQ_TOL.
+    recorded in `skipped` and the guess is kept. The search window is
+    seed +- |seed|/2 at 129 scan points until two roots are known; from
+    then on it is 32 times the last step between roots, at least 1e-4 and
+    at most |seed|/2, at 17 points, which both keeps the exact arithmetic
+    affordable at large D and excludes spurious far-away roots from
+    derailing the continuation. After k >= 2 misses in a row the window
+    is widened 2^(k//2)-fold, again at most |seed|/2. Stops early when
+    three consecutive steps fall below SEQ_TOL.
     """
+    if not math.isfinite(seed):
+        raise ValueError("seed must be finite")
     table = taylor_table(params, 2 * cfg.D_max + cfg.d)
     seq = RootSequence()
-    guess = cfg.seed
-    level = cfg
-    misses = 0
+    deltas = []
+    guess, w0 = seed, 0.5 * abs(seed)
+    w, n, misses = w0, 129, 0
     for D in range(2, cfg.D_max + 1):
-        # persistent misses suggest the window went too tight
-        attempt = level if misses < 2 else replace(
-            level, bracket_halfwidth=min(cfg.halfwidth,
-                                         2 ** (misses // 2) * level.halfwidth))
+        # persistent misses suggest the window went too tight: widen it
+        # 2^(misses // 2)-fold (w <= w0, so 1-fold is w itself)
         try:
-            root = find_root(table, attempt, D, guess)
+            root = find_root(table, cfg, D, guess,
+                             min(w0, 2 ** (misses // 2) * w), n)
         except NoSignChange:
             seq.skipped.append(D)
             misses += 1
@@ -371,28 +365,27 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig) -> RootSequence:
         misses = 0
 
         if seq.roots:
-            seq.deltas.append(abs(root - seq.roots[-1][1]))
+            deltas.append(abs(root - seq.roots[-1][1]))
         seq.roots.append((D, root))
         guess = root
 
-        if len(seq.deltas) >= 3 and all(dl < SEQ_TOL for dl in seq.deltas[-3:]):
+        if len(deltas) >= 3 and all(dl < SEQ_TOL for dl in deltas[-3:]):
             seq.converged = True
             break
 
-        # shrink the next bracket to the observed step size
-        if seq.deltas:
-            w = min(cfg.halfwidth, max(32 * seq.deltas[-1], 1e-4))
-            level = replace(cfg, bracket_halfwidth=w, scan_points=17)
+        # shrink the next window to the observed step size
+        if deltas:
+            w, n = min(w0, max(32 * deltas[-1], 1e-4)), 17
     if not seq.roots:
         raise NoSignChange(
             f"no Hankel root found near the seed for any D up to {cfg.D_max}",
             D=cfg.D_max)
-    if seq.converged or not seq.deltas:
+    if seq.converged or not deltas:
         seq.alpha_star = seq.roots[-1][1]
     else:
         # not settled: the root sequence can wander off again after its
         # best approach (spurious roots at high D); report the estimate
         # where consecutive roots agreed best
-        i = min(range(len(seq.deltas)), key=seq.deltas.__getitem__)
+        i = min(range(len(deltas)), key=deltas.__getitem__)
         seq.alpha_star = seq.roots[i + 1][1]
     return seq

@@ -171,6 +171,9 @@ def _initial_step(f, y, k, t_end, rtol, atol) -> float:
     d1 = _rms([b / c for b, c in zip(k, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
+    if not h0 > 0:  # d1 infinite (or nan): no step can advance
+        raise StepUnderflow("Required step size is less than "
+                            "spacing between numbers.")
     k0 = f(h0, [a + h0 * b for a, b in zip(y, k)])
     d2 = _rms([(b0 - b) / c for b0, b, c in zip(k0, k, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -216,7 +219,7 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
     output, and returns (t, y, index of that event); without one it
     returns (t_end, y(t_end), None). Each accepted step is appended to
     `steps` when given. Raises StepUnderflow when the step would fall
-    below 10 ulp(t), which a nan derivative also leads to."""
+    below 10 ulp(t), which a nan or infinite derivative also leads to."""
     t = 0.0
     y = tuple(y)
     k1 = f(t, y)
@@ -325,7 +328,7 @@ def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
     for _ in range(nsub):
         y = _rk4_step(f, eta, y, h)
         eta += h
-        if abs(y[2]) > BLOWUP:
+        if not abs(y[2]) <= BLOWUP:  # nan included
             raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta:g}",
                          eta=eta, state=y)
     return y
@@ -333,7 +336,8 @@ def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
 
 def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profile:
     """Integrate from eta = 0 to eta_max and sample at the configured
-    stride. Raises Blowup when |f''| passes 1e12 before eta_max.
+    stride. Raises Blowup when |f''| passes 1e12 before eta_max, and at
+    eta = 0 when |alpha| is past both 1e12 and M^2.
 
     One lookup `state_at(t)` gives the state anywhere on the profile, and
     the extrema of f' are refined through it. For RK45 it is the dense
@@ -345,6 +349,13 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     eta_max = cfg.eta_max if cfg.eta_max is not None else auto_eta_max(params)
     y0 = (params.s, -1.0, alpha)
     f = rhs(params)
+    # the RK45 blowup event fires only on crossing 1e12, so a runaway
+    # start past it would crawl on for minutes; only at huge M, whose
+    # f''(0) is about M, may the start lie past it, up to M^2 (the size of
+    # f''' at |f'| = 1)
+    level = max(BLOWUP, params.M ** 2)
+    if not abs(alpha) <= level:
+        raise Blowup(f"|f''| exceeded {level:g} at eta=0", eta=0.0, state=y0)
     grid = _sample_grid(eta_max, cfg.sample_stride)
     rows = [(0.0, *y0)]
 

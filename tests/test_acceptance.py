@@ -41,8 +41,7 @@ def report(capfd):
 
 @pytest.fixture(scope="module")
 def hankel_run():
-    cfg = HankelConfig(seed=solve_n1(PARAMS).beta, D_max=30)
-    return alpha_sequence(PARAMS, cfg)
+    return alpha_sequence(PARAMS, HankelConfig(D_max=30), solve_n1(PARAMS).beta)
 
 
 @pytest.fixture(scope="module")

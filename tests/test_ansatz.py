@@ -88,6 +88,8 @@ class TestN1:
             solve_n1(ModelParams(M=M, m=m, s=s))
 
     @given(st.floats(0.5, 5), st.floats(-2, 3), st.floats(-2, 2))
+    # a subnormal beta, whose b_0 and b_1 = 1/beta overflowed to -inf, inf
+    @example(1.0, 1.0, 2.225073858507e-311)
     @settings(max_examples=60, deadline=None)
     def test_mode1_vanishes_whenever_defined(self, M, m, s):
         try:
@@ -133,6 +135,15 @@ class TestN2:
     def test_m0_rejected(self):
         with pytest.raises(RequiresNonzeroM):
             solve_n2(ModelParams(2, 0, 1))
+
+    @pytest.mark.parametrize("m", [1e-9, -4.4e-13])
+    def test_tiny_m_rejected(self, m):
+        # the quartic's near-double root at beta ~ M made the outcome
+        # rounding noise: alpha_est -749.8 at m = 1e-9, -30.4 at -4.4e-13
+        with pytest.raises(RequiresNonzeroM):
+            solve_n2(ModelParams(2.89, m, -0.47))
+        # the bound itself is admissible
+        assert solve_n2(ModelParams(2.89, math.copysign(1e-6, m), -0.47)).N == 2
 
     def test_m1_collapses_to_n1(self):
         # at m = 1 the extra mode is not needed; b_2 comes out ~0

@@ -196,7 +196,7 @@ class TestScan:
         from mhdsheet.polyseries import to_exact
         seen = []
 
-        def stub(params, cfg):
+        def stub(params, cfg, seed):
             seen.append(params)
             raise hankel.NoSignChange("stub")
 
@@ -253,6 +253,19 @@ def test_bad_flag_value_is_usage_error(argv, capsys):
     assert lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("alpha", ["1e13", "1e308"])
+def test_alpha_past_blowup_is_named_error(alpha, capsys):
+    # it ran for over 20 s at 1e13 and ended in a traceback at 1e308
+    with deadline(5):
+        code = main(["profile", *PAPER, "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: Blowup: ")
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     code = main(["profile", *PAPER, "--alpha", "4.2", "--eta-max", "1",
                  "--out", str(tmp_path / "missing" / "profile.csv")])
@@ -267,7 +280,7 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
 def test_timeout_is_not_an_output_error(monkeypatch):
     # TimeoutError is an OSError, but only a failed write of the output
     # maps to exit code 1; anything else propagates out of main
-    def expire(params, cfg):
+    def expire(params, cfg, seed):
         raise TimeoutError("stub")
     monkeypatch.setattr(hankel, "alpha_sequence", expire)
     with pytest.raises(TimeoutError):
@@ -325,7 +338,7 @@ class TestParser:
                      if command == "scan" else [])
             args = build_parser().parse_args(
                 [command, "--M", "2", "--m", "2", "--s", "1.8", *extra])
-            assert args.d == HankelConfig(seed=4.0).d == -1
+            assert args.d == HankelConfig().d == -1
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -342,6 +355,16 @@ def test_overflowing_parameter_is_named_error(argv, code, message, capsys):
     errors = [l for l in captured.err.splitlines() if "error:" in l]
     assert len(errors) == 1
     assert message in errors[0]
+
+
+def test_subnormal_decay_rate_is_named_error(capsys):
+    # beta = s/2 is subnormal, so b_1 = 1/beta overflows; the Hankel
+    # sequence seeded there ran for over a minute
+    with deadline(5):
+        code = main(["solve", "--M", "1", "--m", "1",
+                     "--s", "2.225073858507e-311"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ComplexDecay: ")
 
 
 class TestScanRow:
@@ -372,7 +395,7 @@ class TestScanRow:
         return stage
 
     def test_n2_error_shows_when_hankel_succeeds(self, monkeypatch, capsys):
-        row = self.row(monkeypatch, capsys, "0", lambda params, cfg: self.SEQ)
+        row = self.row(monkeypatch, capsys, "0", lambda *args: self.SEQ)
         assert (row["alpha_hankel"], row["alpha_ansatz2"]) == ("4", "")
         assert (row["monotone"], row["status"]) == ("true", "RequiresNonzeroM")
 
@@ -384,12 +407,12 @@ class TestScanRow:
         assert row["status"] == "NoSignChange"
 
     def test_blowup_keeps_hankel_alpha(self, monkeypatch, capsys):
-        row = self.row(monkeypatch, capsys, "2", lambda params, cfg: self.SEQ,
+        row = self.row(monkeypatch, capsys, "2", lambda *args: self.SEQ,
                        self.raises(ivp.Blowup))
         assert (row["alpha_hankel"], row["monotone"]) == ("4", "")
         assert row["status"] == "Blowup"
 
     def test_complex_decay_blanks_every_column(self, monkeypatch, capsys):
         monkeypatch.setattr(ansatz, "solve_n1", self.raises(ansatz.ComplexDecay))
-        row = self.row(monkeypatch, capsys, "2", lambda params, cfg: self.SEQ)
+        row = self.row(monkeypatch, capsys, "2", lambda *args: self.SEQ)
         assert list(row.values()) == ["M", "2", "", "", "", "", "ComplexDecay"]

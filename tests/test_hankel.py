@@ -54,26 +54,37 @@ class TestEntries:
         assert m[1][1] is tab.entries[3]
 
     def test_offset_bound(self):
-        assert HankelConfig(seed=4.0, d=-1).d == -1
+        assert HankelConfig(d=-1).d == -1
         with pytest.raises(ValueError, match=">= -1"):
-            HankelConfig(seed=4.0, d=-2)
+            HankelConfig(d=-2)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", math.nan), ("seed", math.inf), ("seed", -math.inf),
         ("bracket_halfwidth", math.nan), ("bracket_halfwidth", math.inf),
         ("bracket_halfwidth", -1.0)])
-    def test_degenerate_seed_and_halfwidth_rejected(self, field, value):
-        # the CLI's placeholder seed 0.0 stays valid
-        assert HankelConfig(seed=0.0).halfwidth == 0
-        with pytest.raises(ValueError, match=field):
-            HankelConfig(**{"seed": 4.0, field: value})
+    def test_degenerate_seed_and_halfwidth_rejected(self, paper_params,
+                                                    field, value):
+        # the seed is checked by alpha_sequence, the bracket half-width w
+        # by find_root, each before any sign is taken
+        if field == "seed":
+            with pytest.raises(ValueError, match="seed"):
+                alpha_sequence(paper_params, HankelConfig(D_max=2), value)
+        else:
+            tab = taylor_table(paper_params, 8)
+            with pytest.raises(ValueError, match="half-width"):
+                find_root(tab, HankelConfig(), 2, 4.0, value, 129)
+
+    def test_too_few_scan_points_rejected(self, paper_params):
+        tab = taylor_table(paper_params, 8)
+        with pytest.raises(ValueError, match="scan count"):
+            find_root(tab, HankelConfig(), 2, 4.0, 1.0, 2)
 
     def test_zero_halfwidth_is_no_sign_change(self, paper_params):
         tab = taylor_table(paper_params, 8)
         with pytest.raises(NoSignChange, match="empty bracket"):
-            find_root(tab, HankelConfig(seed=0.0), 2, 0.0)
+            find_root(tab, HankelConfig(), 2, 0.0, 0.0, 129)
         with pytest.raises(NoSignChange) as exc:
-            alpha_sequence(paper_params, HankelConfig(seed=0.0, D_max=4))
+            alpha_sequence(paper_params, HankelConfig(D_max=4), 0.0)
         assert exc.value.D == 4
 
     def test_insufficient_order_rejected(self, paper_params):
@@ -152,8 +163,7 @@ def test_sign_path_builds_no_rational_entries(paper_params):
     # the exact sign test reads the integer form only
     tab = taylor_table(paper_params, 19)
     det_sign_at(tab, -1, 10, Fraction(42, 10))
-    cfg = HankelConfig(seed=4.2041, bracket_halfwidth=0.01, scan_points=17)
-    find_root(tab, cfg, 10, cfg.seed)
+    find_root(tab, HankelConfig(), 10, 4.2041, 0.01, 17)
     assert "entries" not in vars(tab)
 
 
@@ -278,6 +288,39 @@ def record_sign_points(monkeypatch):
     return points
 
 
+def record_windows(monkeypatch, miss_at=()):
+    """A list to which the (D, w, n) of each `hankel.find_root` call is
+    appended, in order; a call at a D in `miss_at` raises NoSignChange
+    instead of searching."""
+    calls = []
+    real = hankel.find_root
+
+    def recorded(table, cfg, D, guess, w, n):
+        calls.append((D, w, n))
+        if D in miss_at:
+            raise NoSignChange("forced miss", D=D)
+        return real(table, cfg, D, guess, w, n)
+
+    monkeypatch.setattr(hankel, "find_root", recorded)
+    return calls
+
+
+# the (D, half-width, scan points) of every find_root call in the paper
+# sequence at D_max 30, recorded while both still lived in HankelConfig
+# (bracket_halfwidth, scan_points): |seed|/2 at 129 points until the
+# second root, then 32 times the last step, in [1e-4, |seed|/2], at 17
+PAPER_WINDOWS = [
+    (2, 2.04455231422596, 129), (3, 2.04455231422596, 129),
+    (4, 2.04455231422596, 17), (5, 2.04455231422596, 17),
+    (6, 2.04455231422596, 17), (7, 2.04455231422596, 17),
+    (8, 0.5926750116050243, 17), (9, 0.15170654840767384, 17),
+    (10, 0.007662715390324593, 17), (11, 0.007662715390324593, 17),
+    (12, 0.05605767294764519, 17), (13, 0.22126110643148422, 17),
+    (14, 0.0031951963901519775, 17), (15, 0.00017784349620342255, 17),
+    (16, 0.0012306049466133118, 17), (17, 0.00012297742068767548, 17),
+    (18, 0.0001, 17)]
+
+
 class TestFindRoot:
     def test_synthetic_rank_deficiency_root(self):
         # f_j(alpha) = 2^-j + (alpha - c) * j / 3^j: at alpha = c the
@@ -286,22 +329,22 @@ class TestFindRoot:
         entries = [[Fraction(1, 2 ** j) - c * Fraction(j, 3 ** j),
                     Fraction(j, 3 ** j)] for j in range(10)]
         tab = synthetic_table(entries)
-        cfg = HankelConfig(seed=2.8, bracket_halfwidth=0.5, tol=1e-10)
+        cfg = HankelConfig(tol=1e-10)
         for D in (2, 3):
-            root = find_root(tab, cfg, D, guess=2.8)
+            root = find_root(tab, cfg, D, 2.8, 0.5, 129)
             assert root == pytest.approx(3.0, abs=1e-9)
 
     def test_no_sign_change_far_from_root(self, paper_params):
         tab = taylor_table(paper_params, 16)
-        cfg = HankelConfig(seed=50.0, bracket_halfwidth=0.25)
         with pytest.raises(NoSignChange):
-            find_root(tab, cfg, D=2, guess=50.0)
+            find_root(tab, HankelConfig(), 2, 50.0, 0.25, 129)
 
     def test_wide_bracket_scans_about_scan_points(self, monkeypatch):
         # seed 20000, half-width 10000: the grid spacing grows to 2^7, so
-        # the scan stays near scan_points instead of 2w+1 unit steps
+        # the scan stays near n points instead of 2w+1 unit steps
         params = ModelParams(M=20000.0, m=2.0, s=1.8)
-        cfg = HankelConfig(seed=20000.0)
+        cfg = HankelConfig()
+        w, n = 10000.0, 129
         tab = taylor_table(params, 2 * 2 + cfg.d)
         points = []
         real = hankel.det_sign_at
@@ -312,12 +355,11 @@ class TestFindRoot:
 
         monkeypatch.setattr(hankel, "det_sign_at", counted)
         try:
-            find_root(tab, cfg, 2, cfg.seed)
+            find_root(tab, cfg, 2, 20000.0, w, n)
         except NoSignChange:
             pass
         # spacing h in (q/2, q], q = 2w/(n-1), gives at most 2n grid points;
         # bisection from h down to tol adds log2(h/tol) + 1 more
-        w, n = cfg.halfwidth, cfg.scan_points
         bisection = math.ceil(math.log2(2 * w / (n - 1) / cfg.tol)) + 1
         assert len(points) <= 2 * n + bisection
         assert all(isinstance(p, Fraction) for p in points)
@@ -330,10 +372,9 @@ class TestFindRoot:
         # midpoint can move by at most one spacing, not at tol
         c = Fraction(2 ** 40) + Fraction(1, 3)
         tab = synthetic_table([0, 0, 0, [-c, 1]])
-        cfg = HankelConfig(seed=2.0 ** 40, d=1)
         points = record_sign_points(monkeypatch)
         with deadline(5):
-            root = find_root(tab, cfg, 1, cfg.seed)
+            root = find_root(tab, HankelConfig(d=1), 1, 2.0 ** 40, 2.0 ** 39, 129)
         # scan spacing h = 2^33; the scan's points are its multiples
         h = Fraction(2) ** 33
         bisection = [p for p in points if p % h]
@@ -346,7 +387,6 @@ class TestFindRoot:
         # the scan's sign at the bracket's left end carries into the
         # bisection instead of being evaluated again
         tab = taylor_table(paper_params, 2 * 8 - 1)
-        cfg = HankelConfig(seed=4.2, bracket_halfwidth=0.02, scan_points=17)
         points = []
         real = hankel.det_sign_at
 
@@ -355,7 +395,7 @@ class TestFindRoot:
             return real(table, d, D, alpha)
 
         monkeypatch.setattr(hankel, "det_sign_at", counted)
-        root = find_root(tab, cfg, 8, cfg.seed)
+        root = find_root(tab, HankelConfig(), 8, 4.2, 0.02, 17)
         assert root == pytest.approx(4.1952797646, abs=1e-9)
         assert len(points) == len(set(points))
 
@@ -364,9 +404,8 @@ class TestFindRoot:
         # moved onto the package's one bisection loop: the scan of i / 512,
         # then the bisection of [2147/512, 2148/512] down to tol
         tab = taylor_table(paper_params, 2 * 8 - 1)
-        cfg = HankelConfig(seed=4.2, bracket_halfwidth=0.02, scan_points=17)
         points = record_sign_points(monkeypatch)
-        find_root(tab, cfg, 8, cfg.seed)
+        find_root(tab, HankelConfig(), 8, 4.2, 0.02, 17)
         assert points == (
             [Fraction(i, 512) for i in range(2140, 2162)]
             + [Fraction(k, 2 ** e) for e, k in enumerate([
@@ -382,15 +421,15 @@ class TestAlphaSequence:
         # frozen regression of the bring-up run, whose matrix starts at
         # f_3 (d=1): by D <= 20 the sequence is within 3e-5 of the
         # converged value
-        cfg = HankelConfig(seed=solve_n1(paper_params).beta, D_max=20, d=1)
-        seq = alpha_sequence(paper_params, cfg)
+        cfg = HankelConfig(D_max=20, d=1)
+        seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.alpha_star == pytest.approx(4.20411340, abs=3e-5)
         assert [D for D, _ in seq.roots][0] == 5
         assert set(seq.skipped) >= {2, 3, 4}
 
     def test_d2_agrees_with_d1(self, paper_params):
-        cfg = HankelConfig(seed=solve_n1(paper_params).beta, D_max=22, d=2)
-        seq = alpha_sequence(paper_params, cfg)
+        cfg = HankelConfig(D_max=22, d=2)
+        seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.alpha_star == pytest.approx(4.20411340, abs=1e-4)
 
     def test_m1_case_agrees_with_exact_solution(self):
@@ -398,22 +437,21 @@ class TestAlphaSequence:
         # beta = (s + sqrt(s^2 + 4M^2 - 4))/2; here (1 + sqrt(13))/2
         params = ModelParams(2, 1, 1)
         exact = (1 + 13 ** 0.5) / 2
-        cfg = HankelConfig(seed=solve_n1(params).beta, D_max=24)
-        seq = alpha_sequence(params, cfg)
+        cfg = HankelConfig(D_max=24)
+        seq = alpha_sequence(params, cfg, solve_n1(params).beta)
         assert seq.alpha_star == pytest.approx(exact, abs=1e-4)
 
     def test_no_root_anywhere_raises(self):
-        # seeded far from any determinant root with a narrow window
-        cfg = HankelConfig(seed=500.0, bracket_halfwidth=0.5, D_max=3)
+        # seeded far from any determinant root: the window is 500 +- 250
         with pytest.raises(NoSignChange) as exc:
-            alpha_sequence(ModelParams(2, 2, 1.8), cfg)
+            alpha_sequence(ModelParams(2, 2, 1.8), HankelConfig(D_max=3), 500.0)
         assert exc.value.D is not None
 
     def test_default_offset_paper_sequence_is_frozen(self, paper_params):
         # recorded at d=-1 (first entry f_1) with signs from condensation
         # on the unrescaled integer sequence
-        cfg = HankelConfig(seed=solve_n1(paper_params).beta, D_max=30)
-        seq = alpha_sequence(paper_params, cfg)
+        cfg = HankelConfig(D_max=30)
+        seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.roots == [
             (2, 3.0547236990823876), (3, 4.836427256843308),
             (4, 4.093770250823582), (6, 4.2185416883730795),
@@ -425,6 +463,26 @@ class TestAlphaSequence:
             (18, 4.20411389079527)]
         assert seq.skipped == [5, 10]
         assert seq.alpha_star == 4.20411389079527
+
+    def test_paper_windows_are_frozen(self, paper_params, monkeypatch):
+        calls = record_windows(monkeypatch)
+        alpha_sequence(paper_params, HankelConfig(D_max=30),
+                       solve_n1(paper_params).beta)
+        assert calls == PAPER_WINDOWS
+
+    def test_misses_widen_the_window_up_to_half_the_seed(self, paper_params,
+                                                         monkeypatch):
+        # misses forced from D = 8 on, where the window has shrunk to w8:
+        # after two misses in a row it doubles, after four it would be
+        # 4 w8 but stops at |seed|/2
+        calls = record_windows(monkeypatch, miss_at={8, 9, 10, 11})
+        seed = solve_n1(paper_params).beta
+        seq = alpha_sequence(paper_params, HankelConfig(D_max=12), seed)
+        w8, w0 = PAPER_WINDOWS[6][1], 0.5 * seed
+        assert 4 * w8 > w0
+        assert calls == PAPER_WINDOWS[:7] + [
+            (9, w8, 17), (10, 2 * w8, 17), (11, 2 * w8, 17), (12, w0, 17)]
+        assert seq.skipped == [5, 8, 9, 10, 11]
 
     def test_default_offset_paper_signs_are_frozen(self, paper_params,
                                                    monkeypatch):
@@ -441,8 +499,8 @@ class TestAlphaSequence:
             return sign
 
         monkeypatch.setattr(hankel, "det_sign_at", recorded)
-        alpha_sequence(paper_params,
-                       HankelConfig(seed=solve_n1(paper_params).beta, D_max=30))
+        alpha_sequence(paper_params, HankelConfig(D_max=30),
+                       solve_n1(paper_params).beta)
         assert len(signs) == 1019
         assert hashlib.sha256(repr(signs).encode()).hexdigest() == (
             "9b7f7373e6df5cbe875fa746cbb7523f3b15c6ce2394921d337238b836a99f98")
@@ -451,8 +509,8 @@ class TestAlphaSequence:
         # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry
         # powers of 5 as well as 2; recorded as above
         params = ModelParams(M=1.31, m=0.0, s=1.29)
-        cfg = HankelConfig(seed=solve_n1(params).beta, D_max=14)
-        seq = alpha_sequence(params, cfg)
+        cfg = HankelConfig(D_max=14)
+        seq = alpha_sequence(params, cfg, solve_n1(params).beta)
         assert seq.roots == [
             (2, 0.6909413868270349), (3, 1.0707040677953046),
             (4, 1.020361842791317), (5, 1.024747945688432),
@@ -467,8 +525,8 @@ class TestAlphaSequence:
         # recorded with signs from Bareiss elimination alone; any exact
         # sign test makes the same bracket decisions, so every float is
         # reproduced bit for bit (recorded at d=1, first entry f_3)
-        cfg = HankelConfig(seed=solve_n1(paper_params).beta, D_max=20, d=1)
-        seq = alpha_sequence(paper_params, cfg)
+        cfg = HankelConfig(D_max=20, d=1)
+        seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.roots == [
             (5, 3.976010801474331), (6, 4.2801082977384795),
             (7, 4.216553214617306), (8, 4.21745667301002),

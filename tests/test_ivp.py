@@ -85,6 +85,22 @@ class TestIntegrate:
             integrate(paper_params, -5.0, IntegratorConfig(eta_max=30.0))
         assert exc.value.eta == pytest.approx(2.09, abs=0.05)
 
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    @pytest.mark.parametrize("alpha", [1e13, -1e13, 1e308])
+    def test_alpha_past_blowup_raises_at_start(self, paper_params, method,
+                                               alpha):
+        # the blowup event fires only on crossing the threshold: from
+        # past it RK45 ran on for over 20 s at 1e13 and divided by zero at
+        # 1e308, and RK4 returned nan rows at 1e308
+        with deadline(5), pytest.raises(Blowup) as exc:
+            integrate(paper_params, alpha, IntegratorConfig(method=method))
+        assert exc.value.eta == 0.0
+
+    def test_rk4_nan_state_is_blowup(self):
+        nan_deriv = lambda eta, y: (math.nan,) * 3
+        with pytest.raises(Blowup):
+            ivp._rk4_span(nan_deriv, 0.0, (0.0, 0.0, 0.0), 0.01, 1e-3)
+
     def test_nonfinite_alpha_rejected(self, paper_params):
         with pytest.raises(ValueError):
             integrate(paper_params, math.nan, IntegratorConfig())
@@ -243,6 +259,14 @@ class TestShooting:
     def test_bad_bracket(self, paper_params):
         with pytest.raises(BadBracket):
             shoot_refine(paper_params, (6.0, 8.0))
+
+    def test_infinite_first_derivative_is_step_underflow(self, paper_params):
+        # at alpha = -1e308 f''' overflows to inf, so the first step size
+        # is 0; it was a ZeroDivisionError
+        with deadline(5), pytest.raises(ivp.StepUnderflow):
+            shoot_refine(paper_params, (-1e308, 1e308))
+        with pytest.raises(ivp.StepUnderflow):
+            ivp._dopri(rhs(paper_params), (1.8, -1.0, -1e308), 1.0, 1e-10, 1e-12)
 
     def test_bracket_order_irrelevant(self, paper_params):
         a = shoot_refine(paper_params, (4.4, 4.0))
