@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
@@ -97,15 +98,20 @@ def _finish(params: ModelParams, beta: float, b) -> AnsatzSolution:
                           residual_norm=float(max(abs(r) for r in R[:N])))
 
 
-def solve_n1(params: ModelParams) -> AnsatzSolution:
-    """Closed-form N=1 solution: beta = (sqrt(4M^2 + m^2 s^2 - 4m) + ms)/2,
-    b_1 = 1/beta, b_0 = s - 1/beta."""
+def _M2_minus_m(params: ModelParams) -> float:
+    """M^2 - m rounded once: formed as M*M - m it cancels where M^2 ~ m,
+    and the rounding of M*M swamps the terms added to it."""
     try:
-        M2 = params.M ** 2
-    except OverflowError:  # |M| above ~1.3e154; beta is then inf or nan
-        M2 = math.inf
+        return float(Fraction(params.M) ** 2 - Fraction(params.m))
+    except OverflowError:  # |M| above ~1.3e154
+        return math.inf
+
+
+def solve_n1(params: ModelParams) -> AnsatzSolution:
+    """Closed-form N=1 solution: beta = (sqrt(4(M^2 - m) + m^2 s^2) + ms)/2,
+    b_1 = 1/beta, b_0 = s - 1/beta."""
     m, s = params.m, params.s
-    disc = 4 * M2 + m * m * s * s - 4 * m
+    disc = 4 * _M2_minus_m(params) + m * m * s * s
     if disc < 0:
         raise ComplexDecay(f"discriminant {disc:g} < 0; decay rate is complex")
     beta = (math.sqrt(disc) + m * s) / 2
@@ -126,7 +132,7 @@ def _quartic_coeffs(params: ModelParams) -> list[float]:
         -4 * m * s * (2 - m),
         -2 * (2 * m * (m * m * s * s - m * s * s - 1) - M2 * (3 * m - 4)),
         -2 * m * s * (M2 * (5 * m - 4) - 2 * m * (m - 1)),
-        -2 * M2 * M2 * (3 * m - 2) - 2 * M2 * m * (2 - 3 * m) - m * m * (m - 1),
+        -2 * M2 * (3 * m - 2) * _M2_minus_m(params) - m * m * (m - 1),
     ]
 
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ class TestN1:
         with pytest.raises(ComplexDecay):
             solve_n1(ModelParams(M=0.1, m=2, s=0.1))
 
+    def test_cancelling_discriminant_is_accurate(self):
+        # 4M^2 - 4m cancels to -8.9e-16 here; formed as 4M^2 + m^2 s^2 - 4m
+        # the m^2 s^2 = 1e-12 drowned in the rounding of 4M^2 and beta
+        # came out 2.2e-5 relative too large
+        M, s = 0.9999999999999999, 1e-6
+        getcontext().prec = 60
+        disc = Decimal(s) ** 2 - 4 * (1 - Decimal(M) ** 2)
+        exact = float((Decimal(s) + disc.sqrt()) / 2)
+        assert solve_n1(ModelParams(M, 1, s)).beta == pytest.approx(
+            exact, rel=1e-14)
+
     @pytest.mark.parametrize("M, m, s", [(1e200, 2, 1.8), (2, 2, 1e200),
                                          (2, 1e200, 1.8), (2, 1e200, 0.0)])
     def test_overflowing_decay_rate_is_complex_decay(self, M, m, s):
@@ -155,6 +167,8 @@ class TestN2:
     @given(st.floats(0.05, 1, exclude_min=True, exclude_max=True),
            st.floats(0, 4))
     @example(0.5464989686537529, 2.965007424805961)
+    # 1 - M^2 = 2.2e-16: both closed forms lost it to the rounding of M^2
+    @example(0.9999999999999999, 1e-06)
     @settings(max_examples=200, deadline=None)
     def test_m1_picks_the_n1_root(self, M, s):
         # at m = 1 the quartic is (beta^2 - s beta + 1 - M^2)(4 beta^2 + 2 M^2)
