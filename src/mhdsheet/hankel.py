@@ -25,11 +25,13 @@ Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
 of the same integer matrix decides instead. Root location is a dyadic-point scan
 of the window that `alpha_sequence` picks for each D (the one config,
-`HankelConfig`, holds just d, D_max and tol) followed by exact-sign
-bisection on the package's one bisection loop,
-`_bisection.bisect_sign`, which stops at cfg.tol or at float resolution,
-whichever comes first. No floating-point cancellation can ever flip a
-bracket, and no float fallback is substituted silently.
+`HankelConfig`, holds just d, D_max and tol). The scan signs grid points
+outward from the guess and stops once no unsigned point can decide the
+bracket nearest the guess. That bracket is bisected with exact signs on
+the package's one bisection loop, `_bisection.bisect_sign`, which stops
+at cfg.tol or at float resolution, whichever comes first. No
+floating-point cancellation can ever flip a bracket, and no float
+fallback is substituted silently.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class NoSignChange(Exception):
 
 
 class MultipleRootsWarning(UserWarning):
-    """More than one sign change in the scan; nearest-to-guess root used."""
+    """More than one sign change among the points the scan signed; the one
+    nearest the guess is used. Points the scan stops before are not
+    counted."""
 
 
 @dataclass(frozen=True)
@@ -278,13 +282,20 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
               w: float, n: int) -> float:
     """Locate a root of the Hankel determinant near `guess`.
 
-    Scans about n dyadic points across [guess - w, guess + w] for a sign
-    change, then bisects the chosen bracket with exact signs at dyadic
+    The scan grid is about n dyadic points across [guess - w, guess + w].
+    A bracket is a point where the sign is 0 or a cell across which it
+    changes; the chosen one has the float midpoint nearest `guess`, the
+    leftmost on a tie. The scan signs grid points outward from the one
+    nearest `guess` and stops once every bracket it has not seen lies
+    strictly farther than the nearest one it has, so it chooses the
+    bracket that signing the whole grid would choose, usually after a few
+    points. It then bisects that bracket with exact signs at dyadic
     midpoints (`bisect_sign`, from the sign the scan found at its left
     end, so no point is signed twice) until its width is <= cfg.tol or the
     float of its midpoint can move by at most one spacing. Floats are
     exactly dyadic, so every evaluation point stays an exact rational.
-    Raises NoSignChange when the scan finds no sign change or w is 0.
+    Raises NoSignChange when the whole grid holds no sign change or w
+    is 0.
     """
     if not 0 <= w < math.inf:  # nan included
         raise ValueError("half-width w must be >= 0 and finite")
@@ -303,27 +314,55 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
     step = Fraction(2) ** -g
     pts = [i * step for i in range(lo_i, hi_i + 1)]
     n = len(pts)
-    signs = [det_sign_at(table, cfg.d, D, p) for p in pts]
+    signs = [None] * n
+    best, found = None, 0  # ((distance, j), (lo, hi, sign at lo)), count
 
-    # (lo, hi, sign at lo)
-    brackets = []
-    for i in range(n - 1):
+    def take(i):
+        # sign point i and note the brackets it completes: a zero at i,
+        # or a sign change across a cell (j, j+1) whose other end is
+        # signed; bracket j is nearer than bracket k when its float
+        # midpoint is nearer the guess, or as near and j < k
+        nonlocal best, found
+        signs[i] = det_sign_at(table, cfg.d, D, pts[i])
         if signs[i] == 0:
-            brackets.append((pts[i], pts[i], 0))
-        elif signs[i] * signs[i + 1] < 0:
-            brackets.append((pts[i], pts[i + 1], signs[i]))
-    if signs[-1] == 0:
-        brackets.append((pts[-1], pts[-1], 0))
-    if not brackets:
+            done = [(i, (pts[i], pts[i], 0))]
+        else:
+            done = [(j, (pts[j], pts[j + 1], signs[j])) for j in (i - 1, i)
+                    if 0 <= j < n - 1 and None not in signs[j:j + 2]
+                    and signs[j] * signs[j + 1] < 0]
+        for j, br in done:
+            found += 1
+            key = (abs(float(br[0] + br[1]) / 2 - guess), j)
+            if best is None or key < best[0]:
+                best = (key, br)
+
+    # sign the points L..R outward from the one nearest the guess. A
+    # bracket not yet seen touches an unsigned point, so its midpoint lies
+    # at or beyond the midpoint of the first unsigned cell on its side,
+    # and float rounding is monotone: stop once both sides' distances
+    # exceed the best one seen (ties sign further)
+    L = R = round(guess * 2 ** g) - lo_i
+    take(L)
+    while L > 0 or R < n - 1:
+        left = guess - float(pts[L - 1] + pts[L]) / 2 if L > 0 else math.inf
+        right = float(pts[R] + pts[R + 1]) / 2 - guess if R < n - 1 else math.inf
+        if best is not None and min(left, right) > best[0][0]:
+            break
+        if left <= right:
+            L -= 1
+            take(L)
+        else:
+            R += 1
+            take(R)
+    if best is None:
         raise NoSignChange(
             f"no sign change of H_{D}^{cfg.d + 1} in "
             f"[{guess - w:g}, {guess + w:g}]; widen bracket or adjust seed", D=D)
-    if len(brackets) > 1:
+    if found > 1:
         warnings.warn(
-            f"{len(brackets)} sign changes for D={D}; using the root closest "
+            f"{found} sign changes for D={D}; using the root closest "
             "to the guess", MultipleRootsWarning)
-        brackets.sort(key=lambda br: abs(float(br[0] + br[1]) / 2 - guess))
-    lo, hi, slo = brackets[0]
+    lo, hi, slo = best[1]
     lo, hi = bisect_sign(lambda x: det_sign_at(table, cfg.d, D, x),
                          lo, hi, slo, cfg.tol)
     return float((lo + hi) / 2)

@@ -291,7 +291,9 @@ def _sample_grid(eta_max: float, stride: float) -> list[float]:
     if abs(n * stride - eta_max) > 1e-9 * max(1.0, eta_max):
         n = int(math.floor(eta_max / stride))
     grid = [i * stride for i in range(n + 1)]
-    if grid[-1] < eta_max - 1e-12:
+    # relative: an absolute end tolerance drops eta_max itself once
+    # eta_max is below it (huge M)
+    if eta_max - grid[-1] > 1e-12 * eta_max:
         grid.append(eta_max)
     return grid
 

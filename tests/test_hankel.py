@@ -1,17 +1,21 @@
+import functools
 import hashlib
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhdsheet import (HankelConfig, ModelParams, NoSignChange, alpha_sequence,
                       det_sign_at, find_root, hankel_entries, solve_n1,
                       taylor_table)
 from mhdsheet import hankel
-from mhdsheet.hankel import _bareiss_sign, _condensation_sign, _int_matrix
+from mhdsheet._bisection import bisect_sign
+from mhdsheet.hankel import (MultipleRootsWarning, _bareiss_sign,
+                             _condensation_sign, _int_matrix)
 from mhdsheet.polyseries import TaylorTable
 
 from conftest import clear_by_lcm, deadline
@@ -400,20 +404,140 @@ class TestFindRoot:
         assert len(points) == len(set(points))
 
     def test_frozen_sign_points(self, paper_params, monkeypatch):
-        # the setup above; every alpha signed, recorded before find_root
-        # moved onto the package's one bisection loop: the scan of i / 512,
-        # then the bisection of [2147/512, 2148/512] down to tol
+        # the setup above; every alpha signed: the scan of i / 512 outward
+        # from the grid point nearest 4.2, which stops once no unseen cell
+        # can lie nearer than [2147/512, 2148/512], then the bisection of
+        # that cell down to tol (recorded when the scan stopped signing the
+        # whole grid; the bisection's 25 points are those of the full scan)
         tab = taylor_table(paper_params, 2 * 8 - 1)
         points = record_sign_points(monkeypatch)
         find_root(tab, HankelConfig(), 8, 4.2, 0.02, 17)
         assert points == (
-            [Fraction(i, 512) for i in range(2140, 2162)]
+            [Fraction(i, 512) for i in (2150, 2151, 2149, 2152, 2148, 2153, 2147)]
             + [Fraction(k, 2 ** e) for e, k in enumerate([
                 4295, 8591, 17183, 34367, 68735, 137471, 274941, 549883,
                 1099767, 2199535, 4399069, 8798139, 17596279, 35192557,
                 70385115, 140770229, 281540459, 563080919, 1126161837,
                 2252323673, 4504647347, 9009294693, 18018589387,
                 36037178773, 72074357547], start=10)])
+
+
+def full_scan_find_root(table, cfg, D, guess, w, n):
+    """`find_root` as it was when its scan signed every grid point (w > 0,
+    n >= 3): the reference for the scan that stops early."""
+    g = -math.floor(math.log2(2 * w / (n - 1)))
+    lo_i = math.floor((guess - w) * 2 ** g)
+    hi_i = math.ceil((guess + w) * 2 ** g)
+    step = Fraction(2) ** -g
+    pts = [i * step for i in range(lo_i, hi_i + 1)]
+    n = len(pts)
+    signs = [hankel.det_sign_at(table, cfg.d, D, p) for p in pts]
+    brackets = []
+    for i in range(n - 1):
+        if signs[i] == 0:
+            brackets.append((pts[i], pts[i], 0))
+        elif signs[i] * signs[i + 1] < 0:
+            brackets.append((pts[i], pts[i + 1], signs[i]))
+    if signs[-1] == 0:
+        brackets.append((pts[-1], pts[-1], 0))
+    if not brackets:
+        raise NoSignChange("no sign change", D=D)
+    if len(brackets) > 1:
+        warnings.warn(f"{len(brackets)} sign changes", MultipleRootsWarning)
+        brackets.sort(key=lambda br: abs(float(br[0] + br[1]) / 2 - guess))
+    lo, hi, slo = brackets[0]
+    lo, hi = bisect_sign(lambda x: hankel.det_sign_at(table, cfg.d, D, x),
+                         lo, hi, slo, cfg.tol)
+    return float((lo + hi) / 2)
+
+
+def traced(search, *args):
+    """(root or NoSignChange, alphas signed in order, whether a
+    MultipleRootsWarning was raised) of one root search."""
+    points = []
+    real = hankel.det_sign_at
+
+    def recorded(table, d, D, alpha):
+        points.append(alpha)
+        return real(table, d, D, alpha)
+
+    hankel.det_sign_at = recorded
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = search(*args)
+            except NoSignChange:
+                out = NoSignChange
+    finally:
+        hankel.det_sign_at = real
+    return out, points, any(issubclass(c.category, MultipleRootsWarning)
+                            for c in caught)
+
+
+def assert_same_as_full_scan(table, cfg, D, guess, w, n):
+    got, points, warned = traced(find_root, table, cfg, D, guess, w, n)
+    want, ref_points, ref_warned = traced(full_scan_find_root,
+                                          table, cfg, D, guess, w, n)
+    assert got == want  # the same float, or NoSignChange on both
+    assert len(points) == len(set(points))
+    assert set(points) <= set(ref_points)
+    if want is NoSignChange:
+        assert sorted(points) == ref_points  # the whole grid
+    assert ref_warned or not warned
+
+
+@functools.lru_cache(maxsize=None)
+def paper_table_to_D8():
+    return taylor_table(ModelParams(M=2.0, m=2.0, s=1.8), 2 * 8 - 1)
+
+
+def product_table(roots):
+    """A synthetic table with f_3 = prod (alpha - r), so at d = 1, D = 1
+    the determinant is that product and vanishes exactly at each r."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [0])]
+    return synthetic_table([0, 0, 0, coeffs])
+
+
+class TestScanStopsEarly:
+    # find_root signs grid points outward from the guess and stops once no
+    # unseen bracket can be as near as the best one seen; it must pick the
+    # bracket, and so return the float, of the scan that signs every point
+
+    @settings(max_examples=100, deadline=None)
+    @given(D=st.integers(4, 8), guess=st.floats(3.0, 5.5),
+           w=st.floats(1e-3, 1.0), n=st.sampled_from([3, 17, 33]))
+    def test_paper_table(self, D, guess, w, n):
+        assert_same_as_full_scan(paper_table_to_D8(), HankelConfig(), D,
+                                 guess, w, n)
+
+    # with w = 1 and n = 17 the grid is i / 8 over about guess +- 1; the
+    # guess and the roots are multiples of 1/32, so roots fall on grid
+    # points (zero signs), at cell midpoints or between, often at equal
+    # distances from the guess (the leftmost bracket must win)
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(-80, 80),
+           offsets=st.lists(st.integers(-40, 40), max_size=6))
+    @example(k=2, offsets=[-2, 2])  # zeros either side of a midpoint guess
+    @example(k=4, offsets=[-2, 2])  # cells either side of a grid point
+    @example(k=2, offsets=[-2, -2, 2, 2])  # double zeros: no sign change
+    # a cell on the left as near as a zero seen first on the right
+    @example(k=-1, offsets=[-5, 5])
+    # a zero seen on the right first, a nearer cell on the left
+    @example(k=1, offsets=[-3, 3])
+    @example(k=0, offsets=[])  # no root: the whole grid is signed
+    def test_forced_zeros_and_ties(self, k, offsets):
+        guess = Fraction(k, 32)
+        tab = product_table([guess + Fraction(o, 32) for o in offsets])
+        assert_same_as_full_scan(tab, HankelConfig(d=1), 1, float(guess), 1.0, 17)
+
+    def test_tie_goes_to_the_left_bracket(self):
+        # zeros at 1/16 +- 1/16, both 1/16 from the guess
+        tab = product_table([Fraction(0), Fraction(1, 8)])
+        with pytest.warns(MultipleRootsWarning, match="2 sign changes"):
+            assert find_root(tab, HankelConfig(d=1), 1, 1 / 16, 1.0, 17) == 0.0
 
 
 class TestAlphaSequence:
@@ -487,9 +611,9 @@ class TestAlphaSequence:
     def test_default_offset_paper_signs_are_frozen(self, paper_params,
                                                    monkeypatch):
         # every (D, alpha, sign) that det_sign_at answers in the sequence
-        # above, recorded before find_root moved onto the package's one
-        # bisection loop: SHA-256 of the repr of the list of
-        # (D, numerator, denominator, sign)
+        # above, recorded when find_root's scan stopped signing grid points
+        # that cannot decide the nearest bracket (1019 before): SHA-256 of
+        # the repr of the list of (D, numerator, denominator, sign)
         signs = []
         real = hankel.det_sign_at
 
@@ -501,9 +625,9 @@ class TestAlphaSequence:
         monkeypatch.setattr(hankel, "det_sign_at", recorded)
         alpha_sequence(paper_params, HankelConfig(D_max=30),
                        solve_n1(paper_params).beta)
-        assert len(signs) == 1019
+        assert len(signs) == 667
         assert hashlib.sha256(repr(signs).encode()).hexdigest() == (
-            "9b7f7373e6df5cbe875fa746cbb7523f3b15c6ce2394921d337238b836a99f98")
+            "ceec5a76fb77e597313c03b8f1ea6991fd27518ab22618ac617c1a7a70b1aa73")
 
     def test_denominator_100_sequence_is_frozen(self):
         # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry

@@ -43,6 +43,14 @@ class TestIntegrate:
         prof = integrate(paper_params, 4.2, cfg)
         assert [r[0] for r in prof.rows] == pytest.approx([0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_tiny_eta_max_keeps_its_end_row(self):
+        # M = 1e100: auto eta_max is about 1e-99, below any absolute end
+        # tolerance; the profile still ends at eta_max, not at eta = 0
+        params = ModelParams(1e100, 2, 1.8)
+        prof = integrate(params, 1e100, IntegratorConfig())
+        assert [r[0] for r in prof.rows] == [0.0, auto_eta_max(params)]
+        assert prof.tail_fp == prof.rows[-1][2] != -1.0
+
     def test_m1_case_against_closed_form(self):
         # m=1, alpha = beta: f' = -exp(-beta eta) exactly
         params = ModelParams(2, 1, 1)
@@ -271,6 +279,31 @@ class TestShooting:
     def test_bracket_order_irrelevant(self, paper_params):
         a = shoot_refine(paper_params, (4.4, 4.0))
         assert a == pytest.approx(PAPER_ALPHA, abs=5e-7)
+
+
+def exact_alpha(params):
+    """f''(0) where it is known in closed form: sqrt(M^2 - 2/3) at m = 0
+    (f''^2 = M^2 f'^2 + (2/3) f'^3 once integrated), and the N=1 rate at
+    m = 1, where f' = -exp(-beta eta) is exact."""
+    if params.m == 0:
+        return math.sqrt(params.M ** 2 - 2 / 3)
+    assert params.m == 1
+    return solve_n1(params).beta
+
+
+class TestExactFamilies:
+    # the shoot-profile benchmark's bracket est +- 0.1 max(1, |est|)
+    # around the N=4 estimate; shooting lands within about 5e-9 on a
+    # sample of 120 such points
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @settings(max_examples=15, deadline=None)
+    @given(M=st.floats(1.2, 3.0), s=st.floats(1.0, 2.5))
+    def test_shooting_lands_on_the_exact_alpha(self, m, M, s):
+        params = ModelParams(M, m, s)
+        est = solve_general(params, 4).alpha_est
+        w = 0.1 * max(1.0, abs(est))
+        alpha = shoot_refine(params, (est - w, est + w))
+        assert abs(alpha - exact_alpha(params)) <= 1e-6
 
 
 def reference_bisection(params, bracket, cfg=None):
