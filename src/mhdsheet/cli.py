@@ -95,9 +95,9 @@ def _add_common_flags(p):
     p.add_argument("--d", type=int, default=hankel.HankelConfig.d,
                    help="Hankel offset: entries f_{i+j+d}, i.e. H_D^(d+1) in "
                         "Hankel-Pade notation; -1 (default) starts at f_1")
-    p.add_argument("--Dmax", type=int, default=30,
+    p.add_argument("--Dmax", type=int, default=hankel.HankelConfig.D_max,
                    help="maximum Hankel dimension")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=hankel.HankelConfig.tol,
                    help="bisection tolerance on alpha")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 

@@ -25,9 +25,10 @@ Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
 of the same integer matrix decides instead. Root location is a dyadic-point scan
 of the window that `alpha_sequence` picks for each D (the one config,
-`HankelConfig`, holds just d, D_max and tol). The scan signs grid points
-outward from the guess and stops once no unsigned point can decide the
-bracket nearest the guess. That bracket is bisected with exact signs on
+`HankelConfig`, holds just d, D_max and tol). The scan walks the
+candidate brackets, grid points and cells, nearest the guess first and
+takes the first one across which the sign is 0 or changes, signing only
+the points it walks past. That bracket is bisected with exact signs on
 the package's one bisection loop, `_bisection.bisect_sign`, which stops
 at cfg.tol or at float resolution, whichever comes first. No
 floating-point cancellation can ever flip a bracket, and no float
@@ -62,8 +63,8 @@ class NoSignChange(Exception):
 
 class MultipleRootsWarning(UserWarning):
     """More than one sign change among the points the scan signed; the one
-    nearest the guess is used. Points the scan stops before are not
-    counted."""
+    nearest the guess is used. Points past the chosen bracket in the
+    nearest-first walk are not signed, so they are not counted."""
 
 
 @dataclass(frozen=True)
@@ -284,18 +285,19 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
 
     The scan grid is about n dyadic points across [guess - w, guess + w].
     A bracket is a point where the sign is 0 or a cell across which it
-    changes; the chosen one has the float midpoint nearest `guess`, the
-    leftmost on a tie. The scan signs grid points outward from the one
-    nearest `guess` and stops once every bracket it has not seen lies
-    strictly farther than the nearest one it has, so it chooses the
-    bracket that signing the whole grid would choose, usually after a few
-    points. It then bisects that bracket with exact signs at dyadic
-    midpoints (`bisect_sign`, from the sign the scan found at its left
-    end, so no point is signed twice) until its width is <= cfg.tol or the
-    float of its midpoint can move by at most one spacing. Floats are
-    exactly dyadic, so every evaluation point stays an exact rational.
-    Raises NoSignChange when the whole grid holds no sign change or w
-    is 0.
+    changes. Every point and every cell is a candidate, and the candidates
+    are walked nearest-first: by the float distance of their midpoint from
+    `guess`, then the lower index, then the point before the cell. The
+    walk signs the grid point nearest `guess` first, then the points of
+    each candidate it reaches, and takes the first candidate that is a
+    bracket: the one that signing the whole grid would choose, usually
+    found after a few points. That bracket is bisected with exact signs at
+    dyadic midpoints (`bisect_sign`, from the sign the walk found at its
+    left end, so no point is signed twice) until its width is <= cfg.tol
+    or the float of its midpoint can move by at most one spacing. Floats
+    are exactly dyadic, so every evaluation point stays an exact rational.
+    Raises NoSignChange when the walk ends without a bracket, the whole
+    grid signed, or when w is 0.
     """
     if not 0 <= w < math.inf:  # nan included
         raise ValueError("half-width w must be >= 0 and finite")
@@ -314,57 +316,35 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
     step = Fraction(2) ** -g
     pts = [i * step for i in range(lo_i, hi_i + 1)]
     n = len(pts)
-    signs = [None] * n
-    best, found = None, 0  # ((distance, j), (lo, hi, sign at lo)), count
+    signs = {}
 
-    def take(i):
-        # sign point i and note the brackets it completes: a zero at i,
-        # or a sign change across a cell (j, j+1) whose other end is
-        # signed; bracket j is nearer than bracket k when its float
-        # midpoint is nearer the guess, or as near and j < k
-        nonlocal best, found
-        signs[i] = det_sign_at(table, cfg.d, D, pts[i])
-        if signs[i] == 0:
-            done = [(i, (pts[i], pts[i], 0))]
-        else:
-            done = [(j, (pts[j], pts[j + 1], signs[j])) for j in (i - 1, i)
-                    if 0 <= j < n - 1 and None not in signs[j:j + 2]
-                    and signs[j] * signs[j + 1] < 0]
-        for j, br in done:
-            found += 1
-            key = (abs(float(br[0] + br[1]) / 2 - guess), j)
-            if best is None or key < best[0]:
-                best = (key, br)
+    def sign(i):
+        if i not in signs:
+            signs[i] = det_sign_at(table, cfg.d, D, pts[i])
+        return signs[i]
 
-    # sign the points L..R outward from the one nearest the guess. A
-    # bracket not yet seen touches an unsigned point, so its midpoint lies
-    # at or beyond the midpoint of the first unsigned cell on its side,
-    # and float rounding is monotone: stop once both sides' distances
-    # exceed the best one seen (ties sign further)
-    L = R = round(guess * 2 ** g) - lo_i
-    take(L)
-    while L > 0 or R < n - 1:
-        left = guess - float(pts[L - 1] + pts[L]) / 2 if L > 0 else math.inf
-        right = float(pts[R] + pts[R + 1]) / 2 - guess if R < n - 1 else math.inf
-        if best is not None and min(left, right) > best[0][0]:
+    # candidate (i, k): a zero at point i = k, or a sign change across the
+    # cell (i, k = i + 1); keyed by the float distance of its midpoint
+    # (pts[i] + pts[k]) / 2 = (2 lo_i + i + k) 2^(-g-1) from the guess,
+    # then the lower index, then the point before the cell
+    candidates = sorted((abs(math.ldexp(2 * lo_i + i + k, -g - 1) - guess), i, k)
+                        for i in range(n) for k in (i, i + 1) if k < n)
+    sign(round(guess * 2 ** g) - lo_i)
+    for _, i, k in candidates:
+        if (sign(i) == 0) if k == i else (sign(i) * sign(k) < 0):
             break
-        if left <= right:
-            L -= 1
-            take(L)
-        else:
-            R += 1
-            take(R)
-    if best is None:
+    else:
         raise NoSignChange(
             f"no sign change of H_{D}^{cfg.d + 1} in "
             f"[{guess - w:g}, {guess + w:g}]; widen bracket or adjust seed", D=D)
+    # the zeros and sign changes among the signed points
+    found = sum(s == 0 or s * signs.get(j + 1, 0) < 0 for j, s in signs.items())
     if found > 1:
         warnings.warn(
             f"{found} sign changes for D={D}; using the root closest "
             "to the guess", MultipleRootsWarning)
-    lo, hi, slo = best[1]
     lo, hi = bisect_sign(lambda x: det_sign_at(table, cfg.d, D, x),
-                         lo, hi, slo, cfg.tol)
+                         pts[i], pts[k], signs[i], cfg.tol)
     return float((lo + hi) / 2)
 
 

@@ -322,24 +322,24 @@ def _refine_extrema(samples, fpp_at: Callable[[float], float],
 
 
 def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
-              step: float) -> Sequence[float]:
+              step: float, level: float) -> Sequence[float]:
     """y at eta + span by RK4 in the fewest equal substeps no longer than
-    `step`. Raises Blowup when |f''| passes 1e12 after a substep."""
+    `step`. Raises Blowup when |f''| passes `level` after a substep."""
     nsub = max(1, int(math.ceil(span / step)))
     h = span / nsub
     for _ in range(nsub):
         y = _rk4_step(f, eta, y, h)
         eta += h
-        if not abs(y[2]) <= BLOWUP:  # nan included
-            raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta:g}",
+        if not abs(y[2]) <= level:  # nan included
+            raise Blowup(f"|f''| exceeded {level:g} at eta={eta:g}",
                          eta=eta, state=y)
     return y
 
 
 def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profile:
     """Integrate from eta = 0 to eta_max and sample at the configured
-    stride. Raises Blowup when |f''| passes 1e12 before eta_max, and at
-    eta = 0 when |alpha| is past both 1e12 and M^2.
+    stride. Raises Blowup when |f''| passes max(1e12, M^2), at eta = 0 or
+    before eta_max.
 
     One lookup `state_at(t)` gives the state anywhere on the profile, and
     the extrema of f' are refined through it. For RK45 it is the dense
@@ -351,10 +351,10 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     eta_max = cfg.eta_max if cfg.eta_max is not None else auto_eta_max(params)
     y0 = (params.s, -1.0, alpha)
     f = rhs(params)
-    # the RK45 blowup event fires only on crossing 1e12, so a runaway
-    # start past it would crawl on for minutes; only at huge M, whose
-    # f''(0) is about M, may the start lie past it, up to M^2 (the size of
-    # f''' at |f'| = 1)
+    # one blowup level for the start and both integrators: 1e12, raised at
+    # huge M, whose f''(0) is about M, to M^2 (the size of f''' at
+    # |f'| = 1). The RK45 event fires only on crossing it upward, so a
+    # runaway start past it would crawl on for minutes: it is refused here
     level = max(BLOWUP, params.M ** 2)
     if not abs(alpha) <= level:
         raise Blowup(f"|f''| exceeded {level:g} at eta=0", eta=0.0, state=y0)
@@ -364,17 +364,19 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     if cfg.method == "rk4":
         for target in grid[1:]:
             eta, *y = rows[-1]
-            rows.append((target, *_rk4_span(f, eta, y, target - eta, cfg.step)))
+            rows.append((target, *_rk4_span(f, eta, y, target - eta,
+                                            cfg.step, level)))
 
         def state_at(t):
             eta, *y = rows[bisect.bisect_right(grid, t) - 1]
-            return y if t == eta else _rk4_span(f, eta, y, t - eta, cfg.step)
+            return y if t == eta else _rk4_span(f, eta, y, t - eta,
+                                                cfg.step, level)
     else:
         steps: list[_Step] = []
         eta_b, y_b, hit = _dopri(f, y0, eta_max, cfg.rel_tol, cfg.abs_tol,
-                                 [(lambda y: abs(y[2]) - BLOWUP, 0)], steps)
+                                 [(lambda y: abs(y[2]) - level, 1)], steps)
         if hit is not None:
-            raise Blowup(f"|f''| exceeded {BLOWUP:g} at eta={eta_b:g}",
+            raise Blowup(f"|f''| exceeded {level:g} at eta={eta_b:g}",
                          eta=eta_b, state=y_b)
         ends = [step[1] for step in steps]
         pieces = {}

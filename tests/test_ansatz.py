@@ -80,6 +80,9 @@ class TestN1:
         # 4M^2 + m^2 s^2 - 4m < 0
         with pytest.raises(ComplexDecay):
             solve_n1(ModelParams(M=0.1, m=2, s=0.1))
+        # discriminant 1, so beta = (1 + ms)/2 = 0
+        with pytest.raises(ComplexDecay, match="not positive"):
+            solve_n1(ModelParams(M=1, m=1, s=-1))
 
     def test_cancelling_discriminant_is_accurate(self):
         # 4M^2 - 4m cancels to -8.9e-16 here; formed as 4M^2 + m^2 s^2 - 4m

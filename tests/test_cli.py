@@ -115,6 +115,19 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha_hankel"]["value"] == 4.19551922448
 
+    def test_shooting_failure_is_a_warning(self, solve_json, monkeypatch,
+                                           capsys):
+        # a failed shooting check leaves alpha_shooting null and is named
+        # among the warnings; the exit code is that of the unstubbed run
+        def fail(*args):
+            raise ivp.BadBracket("stub")
+        monkeypatch.setattr(ivp, "shoot_refine", fail)
+        code = main(["solve", *FAST])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alpha_shooting"] is None
+        assert doc["warnings"] == ["shooting: BadBracket: stub"]
+        assert code == solve_json[0]
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["solve", *FAST, "--out", str(a)])
@@ -339,6 +352,8 @@ class TestParser:
             args = build_parser().parse_args(
                 [command, "--M", "2", "--m", "2", "--s", "1.8", *extra])
             assert args.d == HankelConfig().d == -1
+            assert args.Dmax == HankelConfig().D_max == 30
+            assert args.tol == HankelConfig().tol == 1e-10
 
 
 @pytest.mark.parametrize("argv, code, message", [

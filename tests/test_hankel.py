@@ -404,9 +404,9 @@ class TestFindRoot:
         assert len(points) == len(set(points))
 
     def test_frozen_sign_points(self, paper_params, monkeypatch):
-        # the setup above; every alpha signed: the scan of i / 512 outward
-        # from the grid point nearest 4.2, which stops once no unseen cell
-        # can lie nearer than [2147/512, 2148/512], then the bisection of
+        # the setup above; every alpha signed: the grid point i / 512
+        # nearest 4.2, then the points of the candidates nearer 4.2 than
+        # the first bracket, [2147/512, 2148/512], then the bisection of
         # that cell down to tol (recorded when the scan stopped signing the
         # whole grid; the bisection's 25 points are those of the full scan)
         tab = taylor_table(paper_params, 2 * 8 - 1)
@@ -424,7 +424,7 @@ class TestFindRoot:
 
 def full_scan_find_root(table, cfg, D, guess, w, n):
     """`find_root` as it was when its scan signed every grid point (w > 0,
-    n >= 3): the reference for the scan that stops early."""
+    n >= 3): the reference for the nearest-first walk."""
     g = -math.floor(math.log2(2 * w / (n - 1)))
     lo_i = math.floor((guess - w) * 2 ** g)
     hi_i = math.ceil((guess + w) * 2 ** g)
@@ -502,9 +502,10 @@ def product_table(roots):
 
 
 class TestScanStopsEarly:
-    # find_root signs grid points outward from the guess and stops once no
-    # unseen bracket can be as near as the best one seen; it must pick the
-    # bracket, and so return the float, of the scan that signs every point
+    # find_root walks the candidate brackets nearest the guess first and
+    # takes the first that is a bracket, signing only the points it walks
+    # past; it must pick the bracket, and so return the float, of the scan
+    # that signs every point
 
     @settings(max_examples=100, deadline=None)
     @given(D=st.integers(4, 8), guess=st.floats(3.0, 5.5),
@@ -523,9 +524,9 @@ class TestScanStopsEarly:
     @example(k=2, offsets=[-2, 2])  # zeros either side of a midpoint guess
     @example(k=4, offsets=[-2, 2])  # cells either side of a grid point
     @example(k=2, offsets=[-2, -2, 2, 2])  # double zeros: no sign change
-    # a cell on the left as near as a zero seen first on the right
+    # a cell on the left as near as a zero on the right
     @example(k=-1, offsets=[-5, 5])
-    # a zero seen on the right first, a nearer cell on the left
+    # a zero on the right, signed before an equally near cell on the left
     @example(k=1, offsets=[-3, 3])
     @example(k=0, offsets=[])  # no root: the whole grid is signed
     def test_forced_zeros_and_ties(self, k, offsets):

@@ -43,11 +43,15 @@ class TestIntegrate:
         prof = integrate(paper_params, 4.2, cfg)
         assert [r[0] for r in prof.rows] == pytest.approx([0, 0.5, 1.0, 1.5, 2.0])
 
-    def test_tiny_eta_max_keeps_its_end_row(self):
-        # M = 1e100: auto eta_max is about 1e-99, below any absolute end
-        # tolerance; the profile still ends at eta_max, not at eta = 0
-        params = ModelParams(1e100, 2, 1.8)
-        prof = integrate(params, 1e100, IntegratorConfig())
+    @pytest.mark.parametrize("M", [1e13, 1e100])
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_tiny_eta_max_keeps_its_end_row(self, method, M):
+        # auto eta_max is about 10 / M, below any absolute end tolerance;
+        # the profile still ends at eta_max, not at eta = 0. f''(0) = M
+        # lies past 1e12 but within the blowup level M^2, and falls from
+        # there, so neither method raises Blowup
+        params = ModelParams(M, 2, 1.8)
+        prof = integrate(params, M, IntegratorConfig(method=method))
         assert [r[0] for r in prof.rows] == [0.0, auto_eta_max(params)]
         assert prof.tail_fp == prof.rows[-1][2] != -1.0
 
@@ -107,7 +111,8 @@ class TestIntegrate:
     def test_rk4_nan_state_is_blowup(self):
         nan_deriv = lambda eta, y: (math.nan,) * 3
         with pytest.raises(Blowup):
-            ivp._rk4_span(nan_deriv, 0.0, (0.0, 0.0, 0.0), 0.01, 1e-3)
+            ivp._rk4_span(nan_deriv, 0.0, (0.0, 0.0, 0.0), 0.01, 1e-3,
+                          ivp.BLOWUP)
 
     def test_nonfinite_alpha_rejected(self, paper_params):
         with pytest.raises(ValueError):
