@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
 
 from ._bisection import bisect_sign
 from .model import ModelParams
@@ -255,19 +254,17 @@ def _jacobian(params: ModelParams, x: list[float], N: int) -> list[list[float]]:
     return J
 
 
-def solve_general(params: ModelParams, N: int,
-                  init: Optional[AnsatzSolution] = None) -> AnsatzSolution:
+def solve_general(params: ModelParams, N: int) -> AnsatzSolution:
     """Damped Newton on the (N+2)-equation defining system with an
-    analytically assembled Jacobian. Seeds from `init`, else the N=2
-    closed form padded with zeros, else N=1."""
+    analytically assembled Jacobian. Seeds from the N=2 closed form padded
+    with zeros when N >= 2 and it exists, else from N=1."""
     import numpy as np  # for the linear solve and the residual norm
     if N < 1:
         raise ValueError("N must be >= 1")
-    if init is None:
-        try:
-            init = solve_n2(params) if N >= 2 else solve_n1(params)
-        except (RequiresNonzeroM, NoPhysicalRoot):
-            init = solve_n1(params)
+    try:
+        init = solve_n2(params) if N >= 2 else solve_n1(params)
+    except (RequiresNonzeroM, NoPhysicalRoot):
+        init = solve_n1(params)
     x = list(init.b[:N + 1]) + [0.0] * (N - init.N) + [init.beta]
 
     g = _system(params, x, N)

@@ -341,11 +341,11 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     stride. Raises Blowup when |f''| passes max(1e12, M^2), at eta = 0 or
     before eta_max.
 
-    One lookup `state_at(t)` gives the state anywhere on the profile, and
-    the extrema of f' are refined through it. For RK45 it is the dense
-    output of the step that holds t. For RK4 it re-integrates from the
-    sampled row at or below t with the march's own substep rule, so a
-    sample point gives back its row exactly."""
+    One lookup `state_at(t)` gives the state anywhere on the profile; it
+    builds the rows in grid order, and the extrema of f' are refined
+    through it. For RK45 it is the dense output of the step that holds t.
+    For RK4 it re-integrates from the row below t, also at a grid point,
+    so a sample point gives back its row exactly."""
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     eta_max = cfg.eta_max if cfg.eta_max is not None else auto_eta_max(params)
@@ -362,15 +362,9 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     rows = [(0.0, *y0)]
 
     if cfg.method == "rk4":
-        for target in grid[1:]:
-            eta, *y = rows[-1]
-            rows.append((target, *_rk4_span(f, eta, y, target - eta,
-                                            cfg.step, level)))
-
         def state_at(t):
-            eta, *y = rows[bisect.bisect_right(grid, t) - 1]
-            return y if t == eta else _rk4_span(f, eta, y, t - eta,
-                                                cfg.step, level)
+            eta, *y = rows[bisect.bisect_left(grid, t) - 1]
+            return _rk4_span(f, eta, y, t - eta, cfg.step, level)
     else:
         steps: list[_Step] = []
         eta_b, y_b, hit = _dopri(f, y0, eta_max, cfg.rel_tol, cfg.abs_tol,
@@ -387,7 +381,8 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
             if i not in pieces:
                 pieces[i] = _interpolant(steps[i])
             return pieces[i](t)
-        rows += [(t, *state_at(t)) for t in grid[1:]]
+    for t in grid[1:]:
+        rows.append((t, *state_at(t)))
 
     extrema = _refine_extrema(rows, lambda t: state_at(t)[2],
                               lambda t: state_at(t)[1], 1e3 * cfg.abs_tol)
@@ -414,10 +409,10 @@ def _tail_growth(params: ModelParams, beta: float) -> float:
     return 0.5 * (math.sqrt(mf * mf + 4.0 * params.M ** 2) - mf)
 
 
-def _divergence_side(params: ModelParams, alpha: float,
-                     cfg: IntegratorConfig, eta_max: float,
+def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
                      growth: Optional[float] = None) -> tuple[int, float]:
-    """(side, u) for the trajectory from alpha.
+    """(side, u) for the trajectory from alpha, integrated by RK45 to
+    eta_max at `IntegratorConfig`'s default tolerances.
 
     side is +1 when the trajectory overshoots (f' runs positive), -1 when
     it undershoots. The true solution keeps f' in (-1, 0), so crossing
@@ -433,7 +428,7 @@ def _divergence_side(params: ModelParams, alpha: float,
     integrator cannot advance."""
 
     eta, y, hit = _dopri(rhs(params), (params.s, -1.0, alpha), eta_max,
-                         cfg.rel_tol, cfg.abs_tol,
+                         IntegratorConfig.rel_tol, IntegratorConfig.abs_tol,
                          [(lambda y: y[1] - 0.5, 1), (lambda y: y[1] + 1.5, -1)])
     if hit == 0:
         side, eta_stop, fp = 1, eta, 0.5
@@ -451,11 +446,15 @@ def _divergence_side(params: ModelParams, alpha: float,
 
 
 def shoot_refine(params: ModelParams, bracket: tuple[float, float],
-                 cfg: Optional[IntegratorConfig] = None) -> float:
+                 eta_max: Optional[float] = None) -> float:
     """alpha at the sign change of the divergence side inside bracket,
     resolved to bisection's final width of 1e-8, or to two adjacent
     floats once those are further apart (|alpha| >= 2^26). Independent
     cross-check for the Hankel result.
+
+    Each trial integrates to the horizon eta_max, by default 3 (10 / beta)
+    with beta the N=1 decay rate, three times the profile's auto eta_max:
+    divergence needs room to show. Without a real N=1 rate it must be given.
 
     The result is the one plain bisection on the side would return: the
     midpoint of its final leaf. It runs `bisect_sign` on the bracket, and
@@ -470,26 +469,25 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     whose sign is not the side) it is the midpoint itself. When the side
     changes once inside the bracket every inferred side is the side
     bisection would compute, so the result is the same float."""
-    if cfg is None:
-        cfg = IntegratorConfig()
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket must be finite")
+    if eta_max is not None and not 0 < eta_max < math.inf:
+        raise ValueError("eta_max must be positive and finite")
     if lo > hi:
         lo, hi = hi, lo
     try:
         beta = ansatz.solve_n1(params).beta
     except ansatz.ComplexDecay:
-        if cfg.eta_max is None:
+        if eta_max is None:
             raise
         beta = None
-    # divergence needs room to manifest; go well past the profile default
-    # (auto_eta_max is 10 / beta)
-    eta_max = 3 * (cfg.eta_max if cfg.eta_max is not None else 10.0 / beta)
+    if eta_max is None:
+        eta_max = 3 * (10.0 / beta)  # not 30.0 / beta: another float
     growth = None if beta is None else _tail_growth(params, beta)
 
-    side_lo, ua = _divergence_side(params, lo, cfg, eta_max, growth)
-    side_hi, ub = _divergence_side(params, hi, cfg, eta_max, growth)
+    side_lo, ua = _divergence_side(params, lo, eta_max, growth)
+    side_hi, ub = _divergence_side(params, hi, eta_max, growth)
     if side_lo == side_hi:
         raise BadBracket(
             f"both endpoints diverge the same way (side {side_lo:+d})")
@@ -508,7 +506,7 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
                 # rounding can put x on a or b; aim just inside instead
                 p = tree_point(min(max(x, math.nextafter(a, b)),
                                    math.nextafter(b, a)))
-            side, u = _divergence_side(params, p, cfg, eta_max, growth)
+            side, u = _divergence_side(params, p, eta_max, growth)
             if side == side_lo:
                 if moved < 0:  # b kept twice: Illinois halves its weight
                     ub *= 0.5

@@ -311,13 +311,12 @@ class TestExactFamilies:
         assert abs(alpha - exact_alpha(params)) <= 1e-6
 
 
-def reference_bisection(params, bracket, cfg=None):
+def reference_bisection(params, bracket, eta_max=None):
     """Plain bisection on the divergence side, the search that shoot_refine
     must reproduce bit for bit."""
-    cfg = cfg or IntegratorConfig()
-    eta_max = 3 * (cfg.eta_max if cfg.eta_max is not None
-                   else auto_eta_max(params))
-    side = lambda a: ivp._divergence_side(params, a, cfg, eta_max)[0]
+    if eta_max is None:
+        eta_max = 3 * auto_eta_max(params)
+    side = lambda a: ivp._divergence_side(params, a, eta_max)[0]
     lo, hi = sorted(map(float, bracket))
     side_lo = side(lo)
     assert side(hi) != side_lo
@@ -346,12 +345,12 @@ def counting_trajectories():
         ivp.rhs = original
 
 
-def guided_and_reference(params, bracket, cfg=None):
+def guided_and_reference(params, bracket, eta_max=None):
     """(alpha, trajectories) of shoot_refine, then of reference_bisection."""
     with counting_trajectories() as n:
-        alpha = shoot_refine(params, bracket, cfg)
+        alpha = shoot_refine(params, bracket, eta_max)
     with counting_trajectories() as n_ref:
-        ref = reference_bisection(params, bracket, cfg)
+        ref = reference_bisection(params, bracket, eta_max)
     return alpha, n[0], ref, n_ref[0]
 
 
@@ -444,16 +443,14 @@ class TestGuidedShooting:
     def test_complex_decay_falls_back_to_bisection(self):
         # no real N=1 decay rate: no guide, and eta_max must be given
         params = ModelParams(0, 2, 0.5)
-        cfg = IntegratorConfig(eta_max=10.0)
-        alpha, n, ref, n_ref = guided_and_reference(params, (-1.5, -1.0), cfg)
+        alpha, n, ref, n_ref = guided_and_reference(params, (-1.5, -1.0), 30.0)
         assert alpha == ref
         assert n == n_ref
         with pytest.raises(ComplexDecay):
             shoot_refine(params, (-1.5, -1.0))
 
     def test_fixed_eta_max(self):
-        cfg = IntegratorConfig(eta_max=2.5)
-        alpha, n, ref, n_ref = guided_and_reference(PAPER, (4.0, 4.4), cfg)
+        alpha, n, ref, n_ref = guided_and_reference(PAPER, (4.0, 4.4), 7.5)
         assert alpha == ref
         assert n <= n_ref
 
@@ -463,7 +460,7 @@ class TestGuidedShooting:
         # stops shrinking at two adjacent floats; the search must end there
         step = 2.0 ** 30 + 0.3
 
-        def side(params, alpha, cfg, eta_max, growth=None):
+        def side(params, alpha, eta_max, growth=None):
             return (1 if alpha > step else -1,
                     alpha - step if guided else math.nan)
         monkeypatch.setattr(ivp, "_divergence_side", side)
@@ -482,8 +479,6 @@ class TestGuidedShooting:
         growth = ivp._tail_growth(PAPER, solve_n1(PAPER).beta)
         assert growth > 0
         for alpha in (4.0, 4.2, 4.21, 4.4):
-            side, u = ivp._divergence_side(PAPER, alpha, IntegratorConfig(),
-                                           eta_max, growth)
+            side, u = ivp._divergence_side(PAPER, alpha, eta_max, growth)
             assert side == (1 if u > 0 else -1)
-        assert math.isnan(ivp._divergence_side(
-            PAPER, 4.2, IntegratorConfig(), eta_max)[1])
+        assert math.isnan(ivp._divergence_side(PAPER, 4.2, eta_max)[1])
