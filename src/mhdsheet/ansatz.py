@@ -60,7 +60,7 @@ class ResidualModes:
 
 
 def _modes(params: ModelParams, beta: float, b) -> list[float]:
-    M2 = params.M ** 2
+    M2 = params.M2
     m = params.m
     N = len(b) - 1
     out = []
@@ -124,7 +124,7 @@ def solve_n1(params: ModelParams) -> AnsatzSolution:
 
 
 def _quartic_coeffs(params: ModelParams) -> list[float]:
-    M2 = params.M ** 2
+    M2 = params.M2
     m, s = params.m, params.s
     return [
         4.0,
@@ -136,7 +136,7 @@ def _quartic_coeffs(params: ModelParams) -> list[float]:
 
 
 def _n2_coeffs(params: ModelParams, beta: float) -> list[float]:
-    M2 = params.M ** 2
+    M2 = params.M2
     m, s = params.m, params.s
     b0 = (beta * beta - M2) / (m * beta)
     b1 = (2 * (M2 - beta * beta) + m * (2 * beta * s - 1)) / (m * beta)
@@ -175,7 +175,7 @@ def solve_n2(params: ModelParams) -> AnsatzSolution:
     rounding of its numerator counts as 0), ties broken by proximity to the
     N=1 beta.
     """
-    M2, m, s = params.M ** 2, params.m, params.s
+    M2, m, s = params.M2, params.m, params.s
     # below |m| = 1e-6 the quartic has a near-double root at beta ~ M that
     # rounding alone splits, so the outcome would be noise
     if abs(m) < 1e-6:
@@ -222,7 +222,7 @@ def _system(params: ModelParams, x: list[float], N: int) -> list[float]:
 
 
 def _jacobian(params: ModelParams, x: list[float], N: int) -> list[list[float]]:
-    M2 = params.M ** 2
+    M2 = params.M2
     m = params.m
     b = x[:N + 1]
     beta = x[N + 1]

@@ -15,11 +15,13 @@ Hankel flags --d, --Dmax and --tol are exactly `hankel.HankelConfig`.
 
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
-(a flag value out of bounds or past the float range prints
-`error: <message>` on stderr; every flag is checked before any stage
-runs), 2 computation finished without convergence or stopped on a named
-error (printed as `error: <Name>: <message>` on stderr; `scan` writes
-the name in the row's status).
+(a missing, unknown or unparsable flag, a flag value out of bounds or
+past the float range, or a profile grid of more than `ivp.MAX_ROWS` rows
+prints one `error: <message>` line on stderr; every flag is checked
+before any stage runs, and a grid too large at the auto eta_max ends
+even a whole `scan`), 2 computation finished without convergence or
+stopped on a named error (printed as `error: <Name>: <message>` on
+stderr; `scan` writes the name in the row's status).
 """
 
 from __future__ import annotations
@@ -41,8 +43,18 @@ STOP_ERRORS = (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,
 
 
 class UsageError(Exception):
-    """A flag value outside the bound that its config class or
-    `ivp.integrate` enforces, or an output that cannot be written."""
+    """A command line that argparse rejects, a flag value outside the
+    bound that its config class or `ivp.integrate` enforces, or an output
+    that cannot be written."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors take `main`'s one path, a
+    one-line `error: <message>` and exit code 1; the subcommand parsers
+    are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _checked(make, *args, **kwargs):
@@ -247,7 +259,7 @@ def _write_out(path, text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mhdsheet",
         description="Solver for the MHD shrinking-sheet similarity equation")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -277,12 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)  # --help exits here, with 0
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,8 +14,9 @@ sample, an extremum or an event needs it. Profiles carry extrema of f'
 (sign changes of f'' between samples) so the presence or absence of an
 interior maximum can be checked directly. The package's one bisection
 loop, `_bisection.bisect_sign`, locates both the events and these
-extrema, the latter on the profile's one state lookup: the dense output
-for RK45, a re-integration from the sample below for RK4.
+extrema, the latter on the profile's one state lookup, which also builds
+its rows: the dense output for RK45, a re-integration from the sample
+below for RK4.
 
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips, on the same loop. Only that exact side decides the
@@ -36,6 +37,9 @@ from .model import ModelParams
 from . import ansatz
 
 BLOWUP = 1e12
+# the most rows a profile's sample grid may have; the largest grid in use
+# has a few thousand, and one of ~1e300 rows would fill memory
+MAX_ROWS = 10 ** 6
 # shooting's bisection stops once its bracket is at most this wide
 LEAF_WIDTH = 1e-8
 
@@ -76,6 +80,8 @@ class IntegratorConfig:
             raise ValueError("eta_max must be positive and finite")
         if not self.sample_stride > 0:
             raise ValueError("sample_stride must be positive")
+        if self.eta_max is not None:
+            _check_rows(self.eta_max, self.sample_stride)
 
 
 @dataclass
@@ -95,7 +101,7 @@ class MonotonicityReport:
 
 
 def rhs(params: ModelParams):
-    M2 = params.M ** 2
+    M2 = params.M2
     m = params.m
 
     def deriv(eta, y):
@@ -286,7 +292,16 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
     return t, y, None
 
 
+def _check_rows(eta_max: float, stride: float):
+    """Raise ValueError, before any grid is built, where eta_max / stride
+    asks for more than MAX_ROWS rows."""
+    if not eta_max / stride <= MAX_ROWS:
+        raise ValueError(f"eta_max {eta_max:g} / stride {stride:g} asks for "
+                         f"more than {MAX_ROWS} profile rows")
+
+
 def _sample_grid(eta_max: float, stride: float) -> list[float]:
+    _check_rows(eta_max, stride)
     n = int(round(eta_max / stride))
     if abs(n * stride - eta_max) > 1e-9 * max(1.0, eta_max):
         n = int(math.floor(eta_max / stride))
@@ -339,7 +354,8 @@ def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
 def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profile:
     """Integrate from eta = 0 to eta_max and sample at the configured
     stride. Raises Blowup when |f''| passes max(1e12, M^2), at eta = 0 or
-    before eta_max.
+    before eta_max, and ValueError when the auto eta_max asks for more
+    than MAX_ROWS rows (tiny N=1 decay rates).
 
     One lookup `state_at(t)` gives the state anywhere on the profile; it
     builds the rows in grid order, and the extrema of f' are refined
@@ -355,7 +371,7 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     # huge M, whose f''(0) is about M, to M^2 (the size of f''' at
     # |f'| = 1). The RK45 event fires only on crossing it upward, so a
     # runaway start past it would crawl on for minutes: it is refused here
-    level = max(BLOWUP, params.M ** 2)
+    level = max(BLOWUP, params.M2)
     if not abs(alpha) <= level:
         raise Blowup(f"|f''| exceeded {level:g} at eta=0", eta=0.0, state=y0)
     grid = _sample_grid(eta_max, cfg.sample_stride)
@@ -406,7 +422,7 @@ def _tail_growth(params: ModelParams, beta: float) -> float:
     lambda^2 + m f_inf lambda - M^2 = 0, the ODE for f' linearised about
     f -> f_inf = s - 1/beta (the N=1 far field with decay rate beta)."""
     mf = params.m * (params.s - 1.0 / beta)
-    return 0.5 * (math.sqrt(mf * mf + 4.0 * params.M ** 2) - mf)
+    return 0.5 * (math.sqrt(mf * mf + 4.0 * params.M2) - mf)
 
 
 def _divergence_side(params: ModelParams, alpha: float, eta_max: float,

@@ -29,6 +29,15 @@ class ModelParams:
             if not math.isfinite(v):
                 raise ValueError(f"parameter {name} must be finite, got {v!r}")
 
+    @property
+    def M2(self) -> float:
+        """M^2 as M ** 2, or inf where that overflows (|M| above ~1.3e154).
+        Every float formula reads it here; M * M rounds differently."""
+        try:
+            return self.M ** 2
+        except OverflowError:
+            return math.inf
+
 
 @dataclass(frozen=True)
 class BoundaryData:
@@ -50,10 +59,10 @@ def boundary_data(params: ModelParams) -> BoundaryData:
 def ode_residual(params: ModelParams, f: float, fp: float, fpp: float,
                  fppp: float) -> float:
     """Pointwise residual of the ODE; zero on any true solution point."""
-    return fppp - params.M ** 2 * fp - fp ** 2 + params.m * f * fpp
+    return fppp - params.M2 * fp - fp ** 2 + params.m * f * fpp
 
 
 def fppp_at_origin(params: ModelParams, alpha: float) -> float:
     """The unique f'''(0) consistent with the ODE and the boundary data,
     given f''(0) = alpha."""
-    return -params.M ** 2 + 1.0 - params.m * params.s * alpha
+    return -params.M2 + 1.0 - params.m * params.s * alpha

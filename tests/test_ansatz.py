@@ -45,6 +45,12 @@ class TestModes:
         r2 = _modes(p_no_m, 2.0, [-7.0, 0.3, 0.1])
         assert r1 == pytest.approx(r2)
 
+    def test_modes_at_overflowing_M(self, paper_params):
+        # M^2 past the float range reads as inf, not an OverflowError
+        sol = solve_n1(paper_params)
+        R = residual_modes(ModelParams(1e200, 2, 1.8), sol).R
+        assert R[0] == math.inf
+
     def test_residual_modes_requires_positive_beta(self, paper_params):
         sol = AnsatzSolution(N=1, beta=-1.0, b=(1.0, 1.0),
                              alpha_est=0.0, residual_norm=0.0)
@@ -130,6 +136,13 @@ class TestN2:
         # beta ~ 1e100 is finite, but the quartic's M^4 term overflows
         with pytest.raises(NoPhysicalRoot, match="overflow"):
             solve_n2(ModelParams(M=1e100, m=2, s=1.8))
+        # M^2 itself overflows: it was a raw OverflowError
+        with pytest.raises(NoPhysicalRoot, match="overflow"):
+            solve_n2(ModelParams(M=1e200, m=2, s=1.8))
+
+    def test_no_decaying_root_is_no_physical_root(self):
+        with pytest.raises(NoPhysicalRoot, match="decaying"):
+            solve_n2(ModelParams(0.62, 0.75, -2.61))
 
     def test_boundary_and_first_modes(self, paper_params):
         sol = solve_n2(paper_params)
@@ -142,10 +155,15 @@ class TestN2:
 
     def test_quartic_root_is_exact(self, paper_params):
         from mhdsheet.ansatz import _quartic_coeffs
-        sol = solve_n2(paper_params)
-        c = _quartic_coeffs(paper_params)
-        val = sum(ci * sol.beta ** (4 - i) for i, ci in enumerate(c))
-        assert val == pytest.approx(0.0, abs=1e-8)
+        # the paper case; a case whose smallest positive root has
+        # |b_2| >= |b_1|; a case without a real N=1 rate to break ties
+        for params in (paper_params, ModelParams(0.4, 2.24, 1.58),
+                       ModelParams(0.09, 2.18, -0.4)):
+            sol = solve_n2(params)
+            c = _quartic_coeffs(params)
+            val = sum(ci * sol.beta ** (4 - i) for i, ci in enumerate(c))
+            assert val == pytest.approx(0.0, abs=1e-8)
+            assert abs(sol.b[2]) < abs(sol.b[1])
 
     def test_m0_rejected(self):
         with pytest.raises(RequiresNonzeroM):

@@ -254,8 +254,12 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["solve", "--M", "0", "--m", "2", "--s", "0.5", "--d", "-2"],
     ["scan", "--M", "0.1", "--m", "2", "--s", "0.1", "--sweep", "M",
      "--start", "0.1", "--stop", "0.2", "--count", "2", "--d", "-2"],
+    # argparse's own errors take the same one-line path
+    ["solve", "--M", "1e400", "--m", "2", "--s", "1.8"],
+    ["solve", "--M", "two", "--m", "2", "--s", "1.8"],
+    ["solve", "--M", "2", "--m", "2"],
 ], ids=["d", "Dmax", "tol", "stride", "eta-max", "alpha", "d-before-seed",
-        "scan-d-before-seed"])
+        "scan-d-before-seed", "M-1e400", "M-two", "missing-s"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -264,6 +268,31 @@ def test_bad_flag_value_is_usage_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--M", "1", "--m", "1", "--s", "1e-300", "--Dmax", "6"],
+    ["profile", *PAPER, "--eta-max", "1e300"],
+    ["profile", *PAPER, "--stride", "1e-300"],
+], ids=["solve-tiny-s", "eta-max", "stride"])
+def test_unbounded_grid_is_usage_error(argv, capsys):
+    # ~1e300 profile rows: the grid filled memory until the run was
+    # stopped; the auto eta_max 10/beta is ~2e301 at s = 1e-300
+    with deadline(5):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "rows" in lines[0]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mhdsheet solve")
 
 
 @pytest.mark.parametrize("alpha", ["1e13", "1e308"])

@@ -21,6 +21,11 @@ class TestRhs:
         # fppp = 4*(-1) + 1 - 2*1.8*4.2 = -18.12
         assert f(0.0, (1.8, -1.0, 4.2)) == pytest.approx((-1.0, 4.2, -18.12))
 
+    def test_overflowing_M2_is_infinite(self):
+        # M^2 past the float range reads as inf, not an OverflowError
+        f = rhs(ModelParams(1e200, 2, 1.8))
+        assert f(0.0, (1.8, -1.0, 1.0))[2] == -math.inf
+
     def test_autonomous(self, paper_params):
         f = rhs(paper_params)
         y = (0.3, -0.2, 0.7)
@@ -108,6 +113,14 @@ class TestIntegrate:
             integrate(paper_params, alpha, IntegratorConfig(method=method))
         assert exc.value.eta == 0.0
 
+    @pytest.mark.parametrize("method, error", [("rk45", ivp.StepUnderflow),
+                                               ("rk4", Blowup)])
+    def test_overflowing_M2_is_named_error(self, method, error):
+        # M^2 overflows to inf: it was a raw OverflowError
+        with deadline(5), pytest.raises(error):
+            integrate(ModelParams(1e200, 2, 1.8), 1.0,
+                      IntegratorConfig(method=method, eta_max=1.0))
+
     def test_rk4_nan_state_is_blowup(self):
         nan_deriv = lambda eta, y: (math.nan,) * 3
         with pytest.raises(Blowup):
@@ -125,6 +138,11 @@ class TestIntegrate:
             IntegratorConfig(eta_max=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.0)
+        # grids of more than MAX_ROWS rows, refused before any is built
+        for eta_max, stride in ((1e300, 0.01), (2.0, 1e-300), (1e6 + 1, 1.0)):
+            with pytest.raises(ValueError, match="rows"):
+                IntegratorConfig(eta_max=eta_max, sample_stride=stride)
+        assert IntegratorConfig(eta_max=1e6, sample_stride=1.0)
 
 
 def rows_digest(rows):
@@ -217,6 +235,18 @@ class TestExtrema:
         assert len(ext) == 1
         assert ext[0][0] == pytest.approx(1 + math.sqrt(3), abs=1e-6)
         assert ext[0][1] == pytest.approx(g(1 + math.sqrt(3)), abs=1e-9)
+        # |g'| < 4e-3 at the samples around that sign change: below a
+        # noise floor of 1e-2 it is not an extremum
+        assert _refine_extrema(samples, gp, g, noise_floor=1e-2) == []
+
+    def test_extremum_on_a_sample(self):
+        # f'' exactly 0 at a sample: the extremum is that sample, found
+        # without bisection
+        from mhdsheet.ivp import _refine_extrema
+        samples = [(0.0, 0.0, -1.0, 1.0), (1.0, 0.0, -0.5, 0.0),
+                   (2.0, 0.0, -0.7, -1.0)]
+        fail = lambda t: pytest.fail("no lookup needed")
+        assert _refine_extrema(samples, fail, fail, 1e-9) == [(1.0, -0.5)]
 
     def test_bracket_below_float_spacing_ends(self):
         # at eta = 2^30 adjacent floats lie 2^-22 apart, wider than the
@@ -474,6 +504,11 @@ class TestGuidedShooting:
         with pytest.raises(ValueError, match="bracket must be finite"):
             shoot_refine(PAPER, bracket)
 
+    @pytest.mark.parametrize("eta_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_horizon_rejected(self, eta_max):
+        with pytest.raises(ValueError, match="eta_max"):
+            shoot_refine(PAPER, (4.0, 4.4), eta_max)
+
     def test_tail_value_sign_is_side(self):
         eta_max = 3 * auto_eta_max(PAPER)
         growth = ivp._tail_growth(PAPER, solve_n1(PAPER).beta)
@@ -482,3 +517,6 @@ class TestGuidedShooting:
             side, u = ivp._divergence_side(PAPER, alpha, eta_max, growth)
             assert side == (1 if u > 0 else -1)
         assert math.isnan(ivp._divergence_side(PAPER, 4.2, eta_max)[1])
+        # far past the event the tail value overflows to the side's infinity
+        assert ivp._divergence_side(PAPER, 4.0, 1e3, growth) == (-1, -math.inf)
+        assert ivp._divergence_side(PAPER, 4.4, 1e3, growth) == (1, math.inf)

@@ -58,3 +58,11 @@ def test_params_must_be_finite():
         ModelParams(M=math.inf, m=0, s=0)
     with pytest.raises(ValueError):
         ModelParams(M=0, m=math.nan, s=0)
+
+
+def test_M2_is_M_squared_or_inf():
+    # read as M ** 2, which rounds differently from M * M
+    for M in (2.0, -3.7, 0.1, 1e154):
+        assert ModelParams(M, 1, 1).M2 == M ** 2
+    for M in (1e155, -1e200, 1.7e308):
+        assert ModelParams(M, 1, 1).M2 == math.inf
