@@ -18,10 +18,11 @@ line endings. Exit codes: 0 success/converged, 1 usage or I/O error
 (a missing, unknown or unparsable flag, a flag value out of bounds or
 past the float range, or a profile grid of more than `ivp.MAX_ROWS` rows
 prints one `error: <message>` line on stderr; every flag is checked
-before any stage runs, and a grid too large at the auto eta_max ends
-even a whole `scan`), 2 computation finished without convergence or
-stopped on a named error (printed as `error: <Name>: <message>` on
-stderr; `scan` writes the name in the row's status).
+before any stage runs, and a grid too large at the auto eta_max, checked
+right after the N=1 seed, ends even a whole `scan`), 2 computation
+finished without convergence or stopped on a named error (printed as
+`error: <Name>: <message>` on stderr; `scan` writes the name in the
+row's status).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _parse_exact(text: str) -> Fraction:
 
 
 def _params(args) -> ModelParams:
-    return ModelParams(M=float(args.M), m=float(args.m), s=float(args.s))
+    return _checked(ModelParams, M=args.M, m=args.m, s=args.s)
 
 
 def _hankel_config(args) -> hankel.HankelConfig:
@@ -99,11 +100,11 @@ def _hankel_config(args) -> hankel.HankelConfig:
 def _add_common_flags(p):
     """Parameters, Hankel flags and --out, shared by every subcommand."""
     p.add_argument("--M", type=_parse_exact, required=True,
-                   help="Hartmann number (decimal)")
+                   help="Hartmann number (decimal or p/q)")
     p.add_argument("--m", type=_parse_exact, required=True,
-                   help="model parameter m (decimal)")
+                   help="model parameter m (decimal or p/q)")
     p.add_argument("--s", type=_parse_exact, required=True,
-                   help="suction parameter (decimal)")
+                   help="suction parameter (decimal or p/q)")
     p.add_argument("--d", type=int, default=hankel.HankelConfig.d,
                    help="Hankel offset: entries f_{i+j+d}, i.e. H_D^(d+1) in "
                         "Hankel-Pade notation; -1 (default) starts at f_1")
@@ -146,6 +147,9 @@ def _run(params: ModelParams, hcfg: hankel.HankelConfig,
     run = _Run()
     try:
         run.a1 = ansatz.solve_n1(params)
+        if icfg.eta_max is None:  # the auto grid, before the Hankel stage
+            _checked(ivp._check_rows, ivp.auto_eta_max(params),
+                     icfg.sample_stride)
         try:
             run.a2 = ansatz.solve_n2(params)
         except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
@@ -221,9 +225,9 @@ def cmd_scan(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     hcfg = _hankel_config(args)
-    base = {"M": float(args.M), "m": float(args.m), "s": float(args.s)}
-    # exact grid: in floats the midpoint of 1.85 .. 2.45 is
-    # 2.1500000000000004, which the exact arithmetic would take literally
+    base = {"M": args.M, "m": args.m, "s": args.s}
+    # exact grid, passed to the Taylor table as it is: in floats the midpoint
+    # of 1.85 .. 2.45 is 2.1500000000000004 and 4/3 is 13333333333333333/10^16
     start, stop, count = args.start, args.stop, args.count
     values = [start + (stop - start) * Fraction(i, count - 1)
               for i in range(count)] if count > 1 else [start]
@@ -231,7 +235,7 @@ def cmd_scan(args) -> int:
     lines = ["sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,"
              "monotone,status"]
     for v in values:
-        params = ModelParams(**{**base, args.sweep: float(v)})
+        params = _checked(ModelParams, **{**base, args.sweep: v})
         run = _run(params, hcfg, ivp.IntegratorConfig())
         # a column is blank when its stage did not run
         status = run.error or run.a2_error
@@ -281,8 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep one parameter")
     _add_common_flags(p)
     p.add_argument("--sweep", choices=("M", "m", "s"), required=True)
-    p.add_argument("--start", type=_parse_exact, required=True)
-    p.add_argument("--stop", type=_parse_exact, required=True)
+    p.add_argument("--start", type=_parse_exact, required=True,
+                   help="first value of the swept parameter (decimal or p/q)")
+    p.add_argument("--stop", type=_parse_exact, required=True,
+                   help="last value of the swept parameter (decimal or p/q)")
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_scan)
     return ap

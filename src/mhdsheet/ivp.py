@@ -346,8 +346,9 @@ def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
         y = _rk4_step(f, eta, y, h)
         eta += h
         if not abs(y[2]) <= level:  # nan included
-            raise Blowup(f"|f''| exceeded {level:g} at eta={eta:g}",
-                         eta=eta, state=y)
+            what = (f"|f''| exceeded {level:g}" if math.isfinite(y[2])
+                    else "state not finite")
+            raise Blowup(f"{what} at eta={eta:g}", eta=eta, state=y)
     return y
 
 
@@ -378,9 +379,13 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     rows = [(0.0, *y0)]
 
     if cfg.method == "rk4":
+        # a substep of M h up to ~2.8 is stable but not accurate: bound it
+        # by 0.1 / M, which is below the default step only where M > 100
+        step = min(cfg.step, 0.1 / abs(params.M)) if params.M else cfg.step
+
         def state_at(t):
             eta, *y = rows[bisect.bisect_left(grid, t) - 1]
-            return _rk4_span(f, eta, y, t - eta, cfg.step, level)
+            return _rk4_span(f, eta, y, t - eta, step, level)
     else:
         steps: list[_Step] = []
         eta_b, y_b, hit = _dopri(f, y0, eta_max, cfg.rel_tol, cfg.abs_tol,

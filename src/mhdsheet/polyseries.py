@@ -9,8 +9,8 @@ terms):
         + sum_{k=0..j} (k+1)(j-k+1) f_{k+1} f_{j-k+1}
         - m sum_{k=0..j} (j-k+1)(j-k+2) f_k f_{j-k+2}
 
-seeded by f_0 = s, f_1 = -1, f_2 = alpha/2. All arithmetic is exact; the
-Hankel sign tests downstream depend on that.
+seeded by f_0 = s, f_1 = -1, f_2 = alpha/2, on `ModelParams.exact`. All
+arithmetic is exact; the Hankel sign tests downstream depend on that.
 
 The table is built over the integers. With q the lcm of the denominators
 of M^2, m and s, write M^2 = A/q and m = B/q. Multiplying the recurrence
@@ -28,7 +28,6 @@ the table keeps f_k = G_k / (q^(2k+1) k!) reduced once to lowest terms.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -43,26 +42,6 @@ class DegenerateSystem(Exception):
 
 class PoleNear(Exception):
     """Pade evaluation requested too close to a denominator zero."""
-
-
-def to_exact(value) -> Fraction:
-    """Convert a parameter to an exact rational.
-
-    Rationals (Fraction, int, numpy integers) and decimal strings convert
-    exactly, over plain ints that cannot wrap. Floats are read through their
-    shortest decimal repr, so 1.8 becomes 9/5 (not the binary expansion of
-    the float). Irrational parameters have no exact representation; use the
-    float-only ansatz/IVP paths.
-    """
-    if isinstance(value, numbers.Rational):
-        return Fraction(int(value.numerator), int(value.denominator))
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"parameter {value!r} is not finite")
-        return Fraction(repr(value))
-    raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
 
 
 @dataclass(frozen=True)
@@ -110,9 +89,8 @@ def taylor_table(params: ModelParams, order: int) -> TaylorTable:
     """Build f_0 .. f_order by the exact recurrence. Requires order >= 3."""
     if order < 3:
         raise ValueError(f"order must be >= 3, got {order}")
-    m2 = to_exact(params.M) ** 2
-    m = to_exact(params.m)
-    s = to_exact(params.s)
+    M, m, s = params.exact
+    m2 = M ** 2
 
     q = math.lcm(m2.denominator, m.denominator, s.denominator)
     a_q3 = m2.numerator * (q // m2.denominator) * q ** 3

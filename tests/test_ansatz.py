@@ -136,9 +136,11 @@ class TestN2:
         # beta ~ 1e100 is finite, but the quartic's M^4 term overflows
         with pytest.raises(NoPhysicalRoot, match="overflow"):
             solve_n2(ModelParams(M=1e100, m=2, s=1.8))
-        # M^2 itself overflows: it was a raw OverflowError
-        with pytest.raises(NoPhysicalRoot, match="overflow"):
-            solve_n2(ModelParams(M=1e200, m=2, s=1.8))
+        # M^2 itself overflows: it was a raw OverflowError, for an int M
+        # until ModelParams read it as a float
+        for M in (1e200, 10 ** 200):
+            with pytest.raises(NoPhysicalRoot, match="overflow"):
+                solve_n2(ModelParams(M=M, m=2, s=1.8))
 
     def test_no_decaying_root_is_no_physical_root(self):
         with pytest.raises(NoPhysicalRoot, match="decaying"):

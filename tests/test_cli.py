@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import mhdsheet
-from mhdsheet import HankelConfig, ansatz, hankel, ivp
+from mhdsheet import (HankelConfig, ModelParams, ansatz, hankel, ivp,
+                      taylor_table)
 from mhdsheet.cli import build_parser, main
 
 from conftest import PAPER_ALPHA, deadline
@@ -103,6 +104,20 @@ class TestSolve:
         code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8"])
         assert code == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
+
+    def test_fraction_flags_reach_the_table(self, monkeypatch, capsys):
+        seen = []
+
+        def stub(params, cfg, seed):
+            seen.append(params)
+            raise hankel.NoSignChange("stub")
+
+        monkeypatch.setattr(hankel, "alpha_sequence", stub)
+        assert main(["solve", "--M", "1/3", "--m", "0", "--s", "4/3"]) == 2
+        exact = (Fraction(1, 3), Fraction(0), Fraction(4, 3))
+        assert seen[0].exact == exact
+        assert taylor_table(seen[0], 12) == taylor_table(
+            ModelParams(*exact), 12)
 
     def test_tol_below_float_resolution_ends(self, capsys):
         # tol 1e-300 is far below the float spacing at alpha ~ 4: the
@@ -206,7 +221,6 @@ class TestScan:
 
     def test_interior_points_are_exact(self, monkeypatch, capsys):
         from mhdsheet import hankel
-        from mhdsheet.polyseries import to_exact
         seen = []
 
         def stub(params, cfg, seed):
@@ -220,8 +234,23 @@ class TestScan:
                      "--count", "3"])
         assert code == 0
         assert [p.s for p in seen] == [1.85, 2.15, 2.45]
-        assert to_exact(seen[1].s) == Fraction(43, 20)
+        assert seen[1].exact[2] == Fraction(43, 20)
         assert capsys.readouterr().out.split("\n")[2].startswith("s,2.15,")
+
+    def test_thirds_reach_the_table_in_time(self, capsys):
+        # the interior points 4/3 and 5/3 reached the table as their floats,
+        # 13333333333333333/10^16 and 16666666666666667/10^16, and the scan
+        # took about five times as long; the rows are the same either way
+        with deadline(5):
+            code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
+                         "--sweep", "s", "--start", "1", "--stop", "2",
+                         "--count", "4", "--Dmax", "18"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "s,1,2.89160446587,2.73205080757,2.87628283925,true,ok",
+            "s,1.33333333333,3.41704254076,3.27698396495,3.40552237048,true,ok",
+            "s,1.66666666667,3.97359996781,3.8524795081,3.96679706672,true,ok",
+            "s,2,4.55620320028,4.44948974278,4.55151672916,true,ok"]
 
     def test_bad_count(self, capsys):
         assert main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
@@ -275,9 +304,13 @@ def test_bad_flag_value_is_usage_error(argv, capsys):
     ["profile", *PAPER, "--eta-max", "1e300"],
     ["profile", *PAPER, "--stride", "1e-300"],
 ], ids=["solve-tiny-s", "eta-max", "stride"])
-def test_unbounded_grid_is_usage_error(argv, capsys):
+def test_unbounded_grid_is_usage_error(argv, monkeypatch, capsys):
     # ~1e300 profile rows: the grid filled memory until the run was
-    # stopped; the auto eta_max 10/beta is ~2e301 at s = 1e-300
+    # stopped; the auto eta_max 10/beta is ~2e301 at s = 1e-300. The grid
+    # is checked before the Hankel stage, which used to run in vain
+    def never(params, cfg, seed):
+        raise AssertionError("alpha_sequence ran before the grid check")
+    monkeypatch.setattr(hankel, "alpha_sequence", never)
     with deadline(5):
         code = main(argv)
     captured = capsys.readouterr()
@@ -387,10 +420,14 @@ class TestParser:
 
 @pytest.mark.parametrize("argv, code, message", [
     (["--M", "1e400", "--m", "2", "--s", "1.8"], 1, "does not fit a float"),
+    # a nonzero value whose float is 0: read exactly, its table at 10^-800
+    # had not finished after 100 s
+    (["--M", "1e-400", "--m", "2", "--s", "1.8"], 1,
+     "error: parameter M is past the float range"),
     (["--M", "1e200", "--m", "2", "--s", "1.8"], 2, "error: ComplexDecay: "),
     (["--M", "2", "--m", "2", "--s", "1e200"], 2, "error: ComplexDecay: "),
     (["--M", "2", "--m", "1e200", "--s", "1.8"], 2, "error: ComplexDecay: "),
-], ids=["M-1e400", "M-1e200", "s-1e200", "m-1e200"])
+], ids=["M-1e400", "M-1e-400", "M-1e200", "s-1e200", "m-1e200"])
 def test_overflowing_parameter_is_named_error(argv, code, message, capsys):
     assert main(["solve", *argv]) == code
     captured = capsys.readouterr()

@@ -59,6 +59,10 @@ class TestIntegrate:
         prof = integrate(params, M, IntegratorConfig(method=method))
         assert [r[0] for r in prof.rows] == [0.0, auto_eta_max(params)]
         assert prof.tail_fp == prof.rows[-1][2] != -1.0
+        # one RK4 substep with M h = 10 ended at f' = -291; substeps of at
+        # most 0.1 / M follow RK45's tail, about -4.54e-5
+        rk45 = integrate(params, M, IntegratorConfig()).tail_fp
+        assert prof.tail_fp == pytest.approx(rk45, rel=0, abs=1e-8)
 
     def test_m1_case_against_closed_form(self):
         # m=1, alpha = beta: f' = -exp(-beta eta) exactly
@@ -116,10 +120,16 @@ class TestIntegrate:
     @pytest.mark.parametrize("method, error", [("rk45", ivp.StepUnderflow),
                                                ("rk4", Blowup)])
     def test_overflowing_M2_is_named_error(self, method, error):
-        # M^2 overflows to inf: it was a raw OverflowError
-        with deadline(5), pytest.raises(error):
-            integrate(ModelParams(1e200, 2, 1.8), 1.0,
-                      IntegratorConfig(method=method, eta_max=1.0))
+        # M^2 overflows to inf: it was a raw OverflowError, for an int M
+        # until ModelParams read it as a float
+        for M in (1e200, 10 ** 200):
+            with deadline(5), pytest.raises(error) as exc:
+                integrate(ModelParams(M, 2, 1.8), 1.0,
+                          IntegratorConfig(method=method, eta_max=1.0))
+            # the level max(1e12, M^2) is inf, so no value exceeds it
+            assert "inf" not in str(exc.value)
+            if error is Blowup:
+                assert str(exc.value).startswith("state not finite at eta=")
 
     def test_rk4_nan_state_is_blowup(self):
         nan_deriv = lambda eta, y: (math.nan,) * 3

@@ -7,25 +7,10 @@ import pytest
 from mhdsheet import (DegenerateSystem, IntegratorConfig, ModelParams,
                       PoleNear, evaluate_table, integrate, pade, pade_eval,
                       taylor_table)
-from mhdsheet.polyseries import AlphaPolynomial, to_exact
+from mhdsheet.polyseries import AlphaPolynomial
 
 from conftest import (PAPER_ALPHA, clear_by_lcm,
                       taylor_coeffs_by_differentiation)
-
-
-def test_to_exact_reads_decimals():
-    assert to_exact(1.8) == Fraction(9, 5)
-    assert to_exact("1.8") == Fraction(9, 5)
-    assert to_exact(2) == Fraction(2)
-    assert to_exact(Fraction(1, 3)) == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        to_exact(math.inf)
-    # numpy integers are rationals too; a fixed-width numerator would wrap
-    # inside the table's big powers, so it must come back as a plain int
-    assert to_exact(np.int64(2)) == 2
-    assert type(to_exact(np.int64(2)).numerator) is int
-    assert (taylor_table(ModelParams(np.int64(2), 2, 1.8), 10)
-            == taylor_table(ModelParams(2, 2, 1.8), 10))
 
 
 class TestTaylorTable:
