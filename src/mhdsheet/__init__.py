@@ -5,8 +5,7 @@ determinant root tracking, provides exponential-sum analytical
 approximations, and verifies by Runge-Kutta integration and shooting.
 """
 
-from .model import ModelParams, BoundaryData, boundary_data, ode_residual, \
-    fppp_at_origin
+from .model import ModelParams
 from .polyseries import AlphaPolynomial, TaylorTable, taylor_table, \
     evaluate_table, PadeApproximant, pade, pade_eval, DegenerateSystem, PoleNear
 from .hankel import HankelConfig, RootSequence, hankel_entries, det_sign_at, \

@@ -222,42 +222,26 @@ def _system(params: ModelParams, x: list[float], N: int) -> list[float]:
 
 
 def _jacobian(params: ModelParams, x: list[float], N: int) -> list[list[float]]:
-    M2 = params.M2
-    m = params.m
-    b = x[:N + 1]
-    beta = x[N + 1]
-    J = [[0.0] * (N + 2) for _ in range(N + 2)]
-    J[0][:N + 1] = [1.0] * (N + 1)
-    J[1][:N + 1] = [beta * j for j in range(N + 1)]
-    J[1][N + 1] = sum(j * b[j] for j in range(N + 1))
-    for row, j in enumerate(range(1, N + 1), start=2):
-        # d R_j / d b_l
-        J[row][j] += j * beta * (M2 - j * j * beta * beta)
-        for l in range(N + 1):
-            k = j - l
-            if l >= 1 and 1 <= k <= N:
-                J[row][l] += -2 * beta * beta * l * k * b[k]
-            if 0 <= k <= N:
-                # m-term: l as the f index (k as f'' index) and vice versa
-                if k >= 1:
-                    J[row][l] += m * beta * beta * k * k * b[k]
-                if l >= 1:
-                    J[row][l] += m * beta * beta * l * l * b[k]
-        # d R_j / d beta
-        db = j * (M2 - 3 * j * j * beta * beta) * b[j] if j <= N else 0.0
-        for i in range(max(1, j - N), min(N, j - 1) + 1):
-            db -= 2 * beta * i * (j - i) * b[i] * b[j - i]
-        for i in range(max(0, j - N), min(N, j - 1) + 1):
-            k = j - i
-            db += 2 * m * beta * k * k * b[i] * b[k]
-        J[row][N + 1] = db
-    return J
+    """d _system / d x by complex steps (Squire & Trapp 1998): column k is
+    Im _system(x + i h e_k) / h. `_system` only adds, subtracts and
+    multiplies, so it is a polynomial in x and runs on complex x as is."""
+    # p(x + ih) = p(x) - h^2 p''(x)/2 + ... + i (h p'(x) - h^3 p'''(x)/6 + ...):
+    # the h^2 terms stay in the real part, and Im / h misses p' by
+    # h^2 p'''/6, about 2e-61 p''', far below the rounding of p'. No
+    # difference is taken, so nothing cancels however small h is
+    h = 1e-30
+    cols = []
+    for k in range(N + 2):
+        xk = [xi + 1j * h if i == k else xi for i, xi in enumerate(x)]
+        cols.append([g.imag / h for g in _system(params, xk, N)])
+    return [list(row) for row in zip(*cols)]
 
 
 def solve_general(params: ModelParams, N: int) -> AnsatzSolution:
-    """Damped Newton on the (N+2)-equation defining system with an
-    analytically assembled Jacobian. Seeds from the N=2 closed form padded
-    with zeros when N >= 2 and it exists, else from N=1."""
+    """Damped Newton on the (N+2)-equation defining system, with the
+    Jacobian taken from the system itself by complex steps. Seeds from the
+    N=2 closed form padded with zeros when N >= 2 and it exists, else from
+    N=1."""
     import numpy as np  # for the linear solve and the residual norm
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -148,8 +148,7 @@ def _run(params: ModelParams, hcfg: hankel.HankelConfig,
     try:
         run.a1 = ansatz.solve_n1(params)
         if icfg.eta_max is None:  # the auto grid, before the Hankel stage
-            _checked(ivp._check_rows, ivp.auto_eta_max(params),
-                     icfg.sample_stride)
+            icfg = _checked(replace, icfg, eta_max=ivp.auto_eta_max(params))
         try:
             run.a2 = ansatz.solve_n2(params)
         except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
@@ -227,10 +226,12 @@ def cmd_scan(args) -> int:
     hcfg = _hankel_config(args)
     base = {"M": args.M, "m": args.m, "s": args.s}
     # exact grid, passed to the Taylor table as it is: in floats the midpoint
-    # of 1.85 .. 2.45 is 2.1500000000000004 and 4/3 is 13333333333333333/10^16
+    # of 1.85 .. 2.45 is 2.1500000000000004 and 4/3 is 13333333333333333/10^16.
+    # Drawn one point at a time: a list of them all takes ~115 MB per 10^6
+    # points before the first one runs
     start, stop, count = args.start, args.stop, args.count
-    values = [start + (stop - start) * Fraction(i, count - 1)
-              for i in range(count)] if count > 1 else [start]
+    values = (start + (stop - start) * Fraction(i, count - 1)
+              for i in range(count)) if count > 1 else [start]
 
     lines = ["sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,"
              "monotone,status"]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from ._bisection import bisect_sign
@@ -42,6 +42,10 @@ BLOWUP = 1e12
 MAX_ROWS = 10 ** 6
 # shooting's bisection stops once its bracket is at most this wide
 LEAF_WIDTH = 1e-8
+# RK4's fixed step, and RK45's relative and absolute tolerances
+STEP = 1e-3
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
 
 
 class Blowup(Exception):
@@ -64,9 +68,6 @@ class BadBracket(Exception):
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk45"          # "rk45" adaptive or "rk4" fixed-step
-    step: float = 1e-3            # fixed-step size for rk4
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     eta_max: Optional[float] = None   # None -> auto: 10 / (N=1 decay rate)
     sample_stride: float = 0.01
 
@@ -74,14 +75,16 @@ class IntegratorConfig:
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         # written so that nan fails every check
-        if not (self.step > 0 and self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("step and tolerances must be positive")
         if self.eta_max is not None and not 0 < self.eta_max < math.inf:
             raise ValueError("eta_max must be positive and finite")
         if not self.sample_stride > 0:
             raise ValueError("sample_stride must be positive")
-        if self.eta_max is not None:
-            _check_rows(self.eta_max, self.sample_stride)
+        # refused before any grid is built
+        if (self.eta_max is not None
+                and not self.eta_max / self.sample_stride <= MAX_ROWS):
+            raise ValueError(f"eta_max {self.eta_max:g} / stride "
+                             f"{self.sample_stride:g} asks for more than "
+                             f"{MAX_ROWS} profile rows")
 
 
 @dataclass
@@ -292,16 +295,7 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
     return t, y, None
 
 
-def _check_rows(eta_max: float, stride: float):
-    """Raise ValueError, before any grid is built, where eta_max / stride
-    asks for more than MAX_ROWS rows."""
-    if not eta_max / stride <= MAX_ROWS:
-        raise ValueError(f"eta_max {eta_max:g} / stride {stride:g} asks for "
-                         f"more than {MAX_ROWS} profile rows")
-
-
 def _sample_grid(eta_max: float, stride: float) -> list[float]:
-    _check_rows(eta_max, stride)
     n = int(round(eta_max / stride))
     if abs(n * stride - eta_max) > 1e-9 * max(1.0, eta_max):
         n = int(math.floor(eta_max / stride))
@@ -355,8 +349,8 @@ def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
 def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profile:
     """Integrate from eta = 0 to eta_max and sample at the configured
     stride. Raises Blowup when |f''| passes max(1e12, M^2), at eta = 0 or
-    before eta_max, and ValueError when the auto eta_max asks for more
-    than MAX_ROWS rows (tiny N=1 decay rates).
+    before eta_max, and ValueError when the auto eta_max is not finite or
+    asks for more than MAX_ROWS rows (tiny N=1 decay rates).
 
     One lookup `state_at(t)` gives the state anywhere on the profile; it
     builds the rows in grid order, and the extrema of f' are refined
@@ -365,7 +359,8 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     so a sample point gives back its row exactly."""
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    eta_max = cfg.eta_max if cfg.eta_max is not None else auto_eta_max(params)
+    if cfg.eta_max is None:
+        cfg = replace(cfg, eta_max=auto_eta_max(params))
     y0 = (params.s, -1.0, alpha)
     f = rhs(params)
     # one blowup level for the start and both integrators: 1e12, raised at
@@ -375,20 +370,20 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     level = max(BLOWUP, params.M2)
     if not abs(alpha) <= level:
         raise Blowup(f"|f''| exceeded {level:g} at eta=0", eta=0.0, state=y0)
-    grid = _sample_grid(eta_max, cfg.sample_stride)
+    grid = _sample_grid(cfg.eta_max, cfg.sample_stride)
     rows = [(0.0, *y0)]
 
     if cfg.method == "rk4":
         # a substep of M h up to ~2.8 is stable but not accurate: bound it
-        # by 0.1 / M, which is below the default step only where M > 100
-        step = min(cfg.step, 0.1 / abs(params.M)) if params.M else cfg.step
+        # by 0.1 / M, which is below STEP only where M > 100
+        step = min(STEP, 0.1 / abs(params.M)) if params.M else STEP
 
         def state_at(t):
             eta, *y = rows[bisect.bisect_left(grid, t) - 1]
             return _rk4_span(f, eta, y, t - eta, step, level)
     else:
         steps: list[_Step] = []
-        eta_b, y_b, hit = _dopri(f, y0, eta_max, cfg.rel_tol, cfg.abs_tol,
+        eta_b, y_b, hit = _dopri(f, y0, cfg.eta_max, REL_TOL, ABS_TOL,
                                  [(lambda y: abs(y[2]) - level, 1)], steps)
         if hit is not None:
             raise Blowup(f"|f''| exceeded {level:g} at eta={eta_b:g}",
@@ -406,7 +401,7 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
         rows.append((t, *state_at(t)))
 
     extrema = _refine_extrema(rows, lambda t: state_at(t)[2],
-                              lambda t: state_at(t)[1], 1e3 * cfg.abs_tol)
+                              lambda t: state_at(t)[1], 1e3 * ABS_TOL)
     return Profile(rows=rows, alpha_used=alpha, tail_fp=rows[-1][2],
                    extrema=extrema)
 
@@ -433,7 +428,7 @@ def _tail_growth(params: ModelParams, beta: float) -> float:
 def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
                      growth: Optional[float] = None) -> tuple[int, float]:
     """(side, u) for the trajectory from alpha, integrated by RK45 to
-    eta_max at `IntegratorConfig`'s default tolerances.
+    eta_max at the tolerances REL_TOL and ABS_TOL.
 
     side is +1 when the trajectory overshoots (f' runs positive), -1 when
     it undershoots. The true solution keeps f' in (-1, 0), so crossing
@@ -449,7 +444,7 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
     integrator cannot advance."""
 
     eta, y, hit = _dopri(rhs(params), (params.s, -1.0, alpha), eta_max,
-                         IntegratorConfig.rel_tol, IntegratorConfig.abs_tol,
+                         REL_TOL, ABS_TOL,
                          [(lambda y: y[1] - 0.5, 1), (lambda y: y[1] + 1.5, -1)])
     if hit == 0:
         side, eta_stop, fp = 1, eta, 0.5

@@ -59,31 +59,3 @@ class ModelParams:
         except OverflowError:
             return math.inf
 
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary values implied by the model: f(0)=s, f'(0)=-1, f'(inf)=0.
-
-    Derived from ModelParams, never constructed independently, so the
-    problem statement cannot become inconsistent.
-    """
-
-    f0: float
-    fp0: float = -1.0
-    fp_inf: float = 0.0
-
-
-def boundary_data(params: ModelParams) -> BoundaryData:
-    return BoundaryData(f0=params.s)
-
-
-def ode_residual(params: ModelParams, f: float, fp: float, fpp: float,
-                 fppp: float) -> float:
-    """Pointwise residual of the ODE; zero on any true solution point."""
-    return fppp - params.M2 * fp - fp ** 2 + params.m * f * fpp
-
-
-def fppp_at_origin(params: ModelParams, alpha: float) -> float:
-    """The unique f'''(0) consistent with the ODE and the boundary data,
-    given f''(0) = alpha."""
-    return -params.M2 + 1.0 - params.m * params.s * alpha

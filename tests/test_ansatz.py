@@ -1,5 +1,7 @@
 import math
+import random
 from decimal import Decimal, getcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -280,6 +282,32 @@ class TestGeneral:
             fd = (np.array(_system(paper_params, list(x + e), N))
                   - np.array(_system(paper_params, list(x - e), N))) / (2 * h)
             assert J[:, col] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+    def test_jacobian_matches_exact_derivative(self, N):
+        # the oracle: sympy differentiates the system itself, built on
+        # symbols with the float parameters as exact rationals, and
+        # evaluates the derivative at the rationals of the float point
+        import sympy as sp
+        from mhdsheet.ansatz import _jacobian, _system
+        rng = random.Random(N)
+        xs = sp.symbols(f"x0:{N + 2}")
+        for _ in range(4):
+            params = ModelParams(rng.uniform(1.2, 3), rng.uniform(0.5, 2.5),
+                                 rng.uniform(1, 2.5))
+            x = ([rng.uniform(-1, 1) for _ in range(N + 1)]
+                 + [rng.uniform(0.5, 3)])
+            exact = SimpleNamespace(M2=sp.Rational(params.M2),
+                                    m=sp.Rational(params.m),
+                                    s=sp.Rational(params.s))
+            g = _system(exact, list(xs), N)
+            at = {xc: sp.Rational(v) for xc, v in zip(xs, x)}
+            J = _jacobian(params, x, N)
+            for r, gr in enumerate(g):
+                for c, xc in enumerate(xs):
+                    want = sp.diff(gr, xc).subs(at)
+                    err = abs(sp.Rational(J[r][c]) - want)
+                    assert err <= 1e-13 * max(1, abs(want))
 
     @given(st.floats(40, 60), st.floats(-0.01, 0.01), st.floats(-3, 4))
     @settings(max_examples=100, deadline=None)

@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import mhdsheet
-from mhdsheet import (HankelConfig, ModelParams, ansatz, hankel, ivp,
+from mhdsheet import (HankelConfig, ModelParams, ansatz, cli, hankel, ivp,
                       taylor_table)
 from mhdsheet.cli import build_parser, main
 
@@ -251,6 +252,26 @@ class TestScan:
             "s,1.33333333333,3.41704254076,3.27698396495,3.40552237048,true,ok",
             "s,1.66666666667,3.97359996781,3.8524795081,3.96679706672,true,ok",
             "s,2,4.55620320028,4.44948974278,4.55151672916,true,ok"]
+
+    def test_grid_is_drawn_lazily(self, monkeypatch):
+        # built as a list before the first point ran, this grid of 200000
+        # points peaked at 23 MiB; drawn one point at a time, at 0.24 MiB
+        class FirstPoint(Exception):
+            pass
+
+        def stop(*args):
+            raise FirstPoint
+        monkeypatch.setattr(cli, "_run", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstPoint):
+                main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
+                      "--sweep", "s", "--start", "1", "--stop", "2",
+                      "--count", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_bad_count(self, capsys):
         assert main(["scan", "--M", "2", "--m", "2", "--s", "1.8",

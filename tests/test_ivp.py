@@ -64,11 +64,13 @@ class TestIntegrate:
         rk45 = integrate(params, M, IntegratorConfig()).tail_fp
         assert prof.tail_fp == pytest.approx(rk45, rel=0, abs=1e-8)
 
-    def test_m1_case_against_closed_form(self):
+    def test_m1_case_against_closed_form(self, monkeypatch):
         # m=1, alpha = beta: f' = -exp(-beta eta) exactly
         params = ModelParams(2, 1, 1)
         beta = (1 + math.sqrt(13)) / 2
-        cfg = IntegratorConfig(eta_max=3.0, rel_tol=1e-12, abs_tol=1e-14)
+        monkeypatch.setattr(ivp, "REL_TOL", 1e-12)
+        monkeypatch.setattr(ivp, "ABS_TOL", 1e-14)
+        cfg = IntegratorConfig(eta_max=3.0)
         prof = integrate(params, beta, cfg)
         for eta, f, fp, fpp in prof.rows:
             assert fp == pytest.approx(-math.exp(-beta * eta), abs=1e-9)
@@ -78,24 +80,26 @@ class TestIntegrate:
 
     def test_rk4_agrees_with_rk45(self, paper_params):
         c45 = IntegratorConfig(eta_max=2.0)
-        c4 = IntegratorConfig(method="rk4", step=1e-3, eta_max=2.0)
+        c4 = IntegratorConfig(method="rk4", eta_max=2.0)
         p45 = integrate(paper_params, PAPER_ALPHA, c45)
         p4 = integrate(paper_params, PAPER_ALPHA, c4)
         for r45, r4 in zip(p45.rows, p4.rows):
             assert r4[1] == pytest.approx(r45[1], abs=1e-8)
             assert r4[2] == pytest.approx(r45[2], abs=1e-8)
 
-    def test_rk4_fourth_order_convergence(self):
+    def test_rk4_fourth_order_convergence(self, monkeypatch):
         # halve the step: error against a tight RK45 run drops ~16x
         params = ModelParams(2, 2, 1.8)
+        monkeypatch.setattr(ivp, "REL_TOL", 1e-13)
+        monkeypatch.setattr(ivp, "ABS_TOL", 1e-14)
         ref = integrate(params, PAPER_ALPHA,
-                        IntegratorConfig(eta_max=1.0, sample_stride=1.0,
-                                         rel_tol=1e-13, abs_tol=1e-14))
+                        IntegratorConfig(eta_max=1.0, sample_stride=1.0))
         ref_f = ref.rows[-1][1]
         errs = []
         for h in (0.02, 0.01):
+            monkeypatch.setattr(ivp, "STEP", h)
             p = integrate(params, PAPER_ALPHA,
-                          IntegratorConfig(method="rk4", step=h, eta_max=1.0,
+                          IntegratorConfig(method="rk4", eta_max=1.0,
                                            sample_stride=1.0))
             errs.append(abs(p.rows[-1][1] - ref_f))
         ratio = errs[0] / errs[1]
@@ -146,8 +150,6 @@ class TestIntegrate:
             IntegratorConfig(method="euler")
         with pytest.raises(ValueError):
             IntegratorConfig(eta_max=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(step=0.0)
         # grids of more than MAX_ROWS rows, refused before any is built
         for eta_max, stride in ((1e300, 0.01), (2.0, 1e-300), (1e6 + 1, 1.0)):
             with pytest.raises(ValueError, match="rows"):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mhdsheet import (DegenerateSystem, IntegratorConfig, ModelParams,
-                      PoleNear, evaluate_table, integrate, pade, pade_eval,
-                      taylor_table)
+                      PoleNear, evaluate_table, integrate, ivp, pade,
+                      pade_eval, taylor_table)
 from mhdsheet.polyseries import AlphaPolynomial
 
 from conftest import (PAPER_ALPHA, clear_by_lcm,
@@ -143,14 +143,15 @@ class TestEvaluateTable:
                 acc = acc * alpha + c
             assert acc == v
 
-    def test_f10_against_ivp_local_fit(self, paper_params):
+    def test_f10_against_ivp_local_fit(self, paper_params, monkeypatch):
         # residual of the order-9 partial sum behaves like f_10 eta^10;
         # extrapolate the scaled residual of a tight integration to eta=0
         alpha = Fraction(420411340, 100000000)
         tab = taylor_table(paper_params, 10)
         vals = [float(v) for v in evaluate_table(tab, alpha)]
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, eta_max=0.31,
-                               sample_stride=0.01)
+        monkeypatch.setattr(ivp, "REL_TOL", 1e-12)
+        monkeypatch.setattr(ivp, "ABS_TOL", 1e-14)
+        cfg = IntegratorConfig(eta_max=0.31, sample_stride=0.01)
         prof = integrate(paper_params, float(alpha), cfg)
         etas, g = [], []
         for eta, f, _, _ in prof.rows:
@@ -211,14 +212,16 @@ class TestPade:
         with pytest.raises(PoleNear):
             pade_eval(p, 1.0)
 
-    def test_fp_series_pade_matches_rk(self, paper_params):
+    def test_fp_series_pade_matches_rk(self, paper_params, monkeypatch):
         # [8/8] of the f' series, evaluated off the expansion point
         tab = taylor_table(paper_params, 18)
         alpha = Fraction(420411340, 100000000)
         fj = [float(v) for v in evaluate_table(tab, alpha)]
         fp_series = [(j + 1) * fj[j + 1] for j in range(17)]
         p = pade(fp_series, 8, 8)
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, eta_max=2.5)
+        monkeypatch.setattr(ivp, "REL_TOL", 1e-12)
+        monkeypatch.setattr(ivp, "ABS_TOL", 1e-14)
+        cfg = IntegratorConfig(eta_max=2.5)
         prof = integrate(paper_params, float(alpha), cfg)
         fp = {round(r[0], 6): r[2] for r in prof.rows}
         assert pade_eval(p, 1.0) == pytest.approx(fp[1.0], abs=1e-4)

@@ -59,14 +59,14 @@ def scipy_events(events):
 def scipy_rk45(params, alpha, span, events=(), **kw):
     return scipy_integrate.solve_ivp(
         ivp.rhs(params), (0.0, span), [params.s, -1.0, alpha], method="RK45",
-        rtol=CFG.rel_tol, atol=CFG.abs_tol, events=scipy_events(events), **kw)
+        rtol=ivp.REL_TOL, atol=ivp.ABS_TOL, events=scipy_events(events), **kw)
 
 
 @pytest.mark.parametrize("params,alpha,span,event", CASES)
 def test_same_steps_end_state_and_event(params, alpha, span, event):
     f, nfev = counted(ivp.rhs(params))
-    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, CFG.rel_tol,
-                           CFG.abs_tol, EVENTS)
+    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, ivp.REL_TOL,
+                           ivp.ABS_TOL, EVENTS)
     ref = scipy_rk45(params, alpha, span, EVENTS)
     assert nfev[0] == ref.nfev
     assert hit == event
@@ -97,8 +97,8 @@ def test_start_above_blowup_level_is_no_blowup():
     span = auto_eta_max(params)
     blowup = [(lambda y: abs(y[2]) - ivp.BLOWUP, 0)]
     f, nfev = counted(ivp.rhs(params))
-    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, CFG.rel_tol,
-                           CFG.abs_tol, blowup)
+    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, ivp.REL_TOL,
+                           ivp.ABS_TOL, blowup)
     ref = scipy_rk45(params, alpha, span, blowup)
     assert hit is None and t == span
     assert ref.status == 0 and ref.t_events[0].size == 0
@@ -134,5 +134,5 @@ def test_nan_derivative_is_step_underflow(nan_from, monkeypatch):
         # step size turns nan and it never returns
         ref = scipy_integrate.solve_ivp(
             f, (0.0, 2.0), [PAPER.s, -1.0, 4.2], method="RK45",
-            rtol=CFG.rel_tol, atol=CFG.abs_tol)
+            rtol=ivp.REL_TOL, atol=ivp.ABS_TOL)
         assert ref.status == -1
