@@ -1,6 +1,6 @@
 """The package's one bisection loop. It serves the exact Hankel root search
 (`hankel.find_root`, on Fraction brackets) and the float searches of `ivp`
-(event location, extremum refinement and shooting)."""
+(the adaptive stepper's stop, extremum refinement and shooting)."""
 
 from __future__ import annotations
 

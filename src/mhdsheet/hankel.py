@@ -363,15 +363,20 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     derailing the continuation. After k >= 2 misses in a row the window
     is widened 2^(k//2)-fold, again at most |seed|/2. Stops early when
     three consecutive steps fall below SEQ_TOL.
+
+    The Taylor table grows with D, to order 2D + d before the search at
+    D, so a sequence that stops early builds no row it never reads.
     """
     if not math.isfinite(seed):
         raise ValueError("seed must be finite")
-    table = taylor_table(params, 2 * cfg.D_max + cfg.d)
+    table = None
     seq = RootSequence()
     deltas = []
     guess, w0 = seed, 0.5 * abs(seed)
     w, n, misses = w0, 129, 0
     for D in range(2, cfg.D_max + 1):
+        # the matrix at D reads f_{d+2} .. f_{2D+d}
+        table = taylor_table(params, 2 * D + cfg.d, table)
         # persistent misses suggest the window went too tight: widen it
         # 2^(misses // 2)-fold (w <= w0, so 1-fold is w itself)
         try:

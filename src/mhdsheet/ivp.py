@@ -6,17 +6,18 @@ f(0) = s, f'(0) = -1, f''(0) = alpha, either by fixed-step classical RK4
 or by the adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980;
 Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6). The adaptive
 stepper `_dopri` works on plain float tuples. It copies scipy's RK45
-(coefficients, error norm, step controller, initial step, events that
-fire on a sign change), so it takes the steps scipy's RK45 solver
-takes, up to the rounding of its sums: numpy's dot products may fuse
-multiply-adds. It builds a step's quartic dense output only where a
-sample, an extremum or an event needs it. Profiles carry extrema of f'
-(sign changes of f'' between samples) so the presence or absence of an
-interior maximum can be checked directly. The package's one bisection
-loop, `_bisection.bisect_sign`, locates both the events and these
-extrema, the latter on the profile's one state lookup, which also builds
-its rows: the dense output for RK45, a re-integration from the sample
-below for RK4.
+(coefficients, error norm, step controller, initial step), so it takes
+the steps scipy's RK45 solver takes, up to the rounding of its sums:
+numpy's dot products may fuse multiply-adds. It stops where one stop
+function of the state rises through 0, located on the step's dense
+output as a terminal scipy event is. It builds a step's quartic dense
+output only where a sample, an extremum or the stop needs it. Profiles
+carry extrema of f' (sign changes of f'' between samples) so the
+presence or absence of an interior maximum can be checked directly. The
+package's one bisection loop, `_bisection.bisect_sign`, locates both the
+stop and these extrema, the latter on the profile's one state lookup,
+which also builds its rows: the dense output for RK45, a re-integration
+from the sample below for RK4.
 
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips, on the same loop. Only that exact side decides the
@@ -161,9 +162,6 @@ _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
 # scales by err^(-1/5)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
 
-# an event: (g, direction); it fires when g(y) changes sign across an
-# accepted step, upward only (+1), downward only (-1) or either way (0)
-_Event = tuple[Callable[[Sequence[float]], float], int]
 # an accepted step: (t_old, t, y_old, stage derivatives k1..k7)
 _Step = tuple[float, float, tuple, tuple]
 
@@ -209,31 +207,26 @@ def _interpolant(step: _Step) -> Callable[[float], tuple]:
     return at
 
 
-def _crossing(g: Callable[[float], float], a: float, b: float) -> float:
-    """A zero of g in [a, b], where g(a) and g(b) differ in sign, by
-    bisection down to adjacent floats."""
-    ga = g(a)
-    return a if ga == 0 else bisect_sign(g, a, b, ga, 0.0)[1]
-
-
 def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
-           atol: float, events: Sequence[_Event] = (),
-           steps: Optional[list] = None) -> tuple[float, tuple, Optional[int]]:
+           atol: float, stop: Callable[[Sequence[float]], float],
+           steps: Optional[list] = None) -> tuple[float, tuple, bool]:
     """Integrate y' = f(t, y) from t = 0 to t_end by Dormand-Prince 5(4),
     step for step as scipy's RK45: RMS error norm with the scale
     atol + max(|y|, |y_new|) rtol, safety factor 0.9, step factor within
     [0.2, 10] and no growth right after a rejection.
 
-    Stops at the first event that fires, located on the step's dense
-    output, and returns (t, y, index of that event); without one it
-    returns (t_end, y(t_end), None). Each accepted step is appended to
+    Stops where stop(y) rises through 0 across an accepted step
+    (stop(y_old) <= 0 <= stop(y_new)): the crossing is bisected on the
+    step's dense output down to adjacent floats, or is t_old when stop is
+    exactly 0 there, and (t, y(t), True) is returned; without a stop it
+    returns (t_end, y(t_end), False). Each accepted step is appended to
     `steps` when given. Raises StepUnderflow when the step would fall
     below 10 ulp(t), which a nan or infinite derivative also leads to."""
     t = 0.0
     y = tuple(y)
     k1 = f(t, y)
     h_abs = _initial_step(f, y, k1, t_end, rtol, atol)
-    g_old = [g(y) for g, _ in events]
+    g_old = stop(y)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A
     b1, _, b3, b4, b5, b6 = _B
@@ -283,16 +276,14 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
         step = (t, t_new, y, (k1, k2, k3, k4, k5, k6, k7))
         if steps is not None:
             steps.append(step)
-        g_new = [g(y_new) for g, _ in events]
-        fired = [i for i, (go, gn, (_, d)) in enumerate(zip(g_old, g_new, events))
-                 if (d >= 0 and go <= 0 <= gn) or (d <= 0 and go >= 0 >= gn)]
-        if fired:
+        g_new = stop(y_new)
+        if g_old <= 0 <= g_new:
             at = _interpolant(step)
-            t_e, i = min((_crossing(lambda s: events[i][0](at(s)), t, t_new), i)
-                         for i in fired)
-            return t_e, at(t_e), i
+            if g_old < 0:   # else stop is exactly 0 at t
+                t = bisect_sign(lambda s: stop(at(s)), t, t_new, g_old, 0.0)[1]
+            return t, at(t), True
         t, y, k1, g_old = t_new, y_new, k7, g_new
-    return t, y, None
+    return t, y, False
 
 
 def _sample_grid(eta_max: float, stride: float) -> list[float]:
@@ -365,7 +356,7 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     f = rhs(params)
     # one blowup level for the start and both integrators: 1e12, raised at
     # huge M, whose f''(0) is about M, to M^2 (the size of f''' at
-    # |f'| = 1). The RK45 event fires only on crossing it upward, so a
+    # |f'| = 1). The RK45 stop fires only on crossing it upward, so a
     # runaway start past it would crawl on for minutes: it is refused here
     level = max(BLOWUP, params.M2)
     if not abs(alpha) <= level:
@@ -384,8 +375,8 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     else:
         steps: list[_Step] = []
         eta_b, y_b, hit = _dopri(f, y0, cfg.eta_max, REL_TOL, ABS_TOL,
-                                 [(lambda y: abs(y[2]) - level, 1)], steps)
-        if hit is not None:
+                                 lambda y: abs(y[2]) - level, steps)
+        if hit:
             raise Blowup(f"|f''| exceeded {level:g} at eta={eta_b:g}",
                          eta=eta_b, state=y_b)
         ends = [step[1] for step in steps]
@@ -431,13 +422,15 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
     eta_max at the tolerances REL_TOL and ABS_TOL.
 
     side is +1 when the trajectory overshoots (f' runs positive), -1 when
-    it undershoots. The true solution keeps f' in (-1, 0), so crossing
-    f' = +0.5 or f' = -1.5 settles the side immediately; terminating
-    there also avoids grinding through the post-divergence growth. If
-    neither excursion happens, the sign of the tail value decides.
+    it undershoots. The true solution keeps f' in (-1, 0), so leaving
+    (-1.5, 0.5) settles the side immediately; stopping there also avoids
+    grinding through the post-divergence growth. The stop function
+    (f' - 0.5)(f' + 1.5) is negative inside that interval, so it rises
+    through 0 at either end, and the sign of f' at the stop tells which
+    end, f' = 0.5 or -1.5. Without a stop, f' at eta_max decides.
 
     u = f'(eta_stop) exp(growth (eta_max - eta_stop)) carries f' at the
-    stop (the event, or eta_max) out to eta_max along the unstable tail
+    stop (that end, or eta_max) out to eta_max along the unstable tail
     mode. Its sign is the side, and across a shooting bracket it is
     nearly linear in alpha, so it can guide the choice of the next alpha.
     u is nan when no growth rate is given. Raises StepUnderflow when the
@@ -445,18 +438,13 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
 
     eta, y, hit = _dopri(rhs(params), (params.s, -1.0, alpha), eta_max,
                          REL_TOL, ABS_TOL,
-                         [(lambda y: y[1] - 0.5, 1), (lambda y: y[1] + 1.5, -1)])
-    if hit == 0:
-        side, eta_stop, fp = 1, eta, 0.5
-    elif hit == 1:
-        side, eta_stop, fp = -1, eta, -1.5
-    else:
-        fp = y[1]
-        side, eta_stop = (1 if fp > 0 else -1), eta_max
+                         lambda y: (y[1] - 0.5) * (y[1] + 1.5))
+    fp = (0.5 if y[1] > 0 else -1.5) if hit else y[1]
+    side = 1 if fp > 0 else -1
     if growth is None:
         return side, math.nan
     try:
-        return side, fp * math.exp(growth * (eta_max - eta_stop))
+        return side, fp * math.exp(growth * (eta_max - eta))
     except OverflowError:
         return side, math.copysign(math.inf, fp)
 

@@ -23,6 +23,7 @@ G_k = q^(2k+1) F_k then obeys
 from G_0 = q s, G_1 = -q^3, G_2 = q^5 alpha. Every G_k is a polynomial in
 alpha with integer coefficients, so no gcd is taken until the end, where
 the table keeps f_k = G_k / (q^(2k+1) k!) reduced once to lowest terms.
+A longer table continues the recurrence from a shorter one's G_k.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .model import ModelParams
 
@@ -85,19 +86,37 @@ class TaylorTable:
                      for cs, L in self.cleared)
 
 
-def taylor_table(params: ModelParams, order: int) -> TaylorTable:
-    """Build f_0 .. f_order by the exact recurrence. Requires order >= 3."""
+def taylor_table(params: ModelParams, order: int,
+                 table: Optional[TaylorTable] = None) -> TaylorTable:
+    """Build f_0 .. f_order by the exact recurrence. Requires order >= 3.
+
+    Given a `table` of the same exact parameters, the recurrence continues
+    from its entries, each G_k = c_k q^(2k+1) k! / L_k taken back from
+    `cleared`, instead of starting again at f_0, so a table can grow one
+    order at a time as its reader needs; the result equals the one-shot
+    build. A table of other parameters is a ValueError."""
     if order < 3:
         raise ValueError(f"order must be >= 3, got {order}")
     M, m, s = params.exact
     m2 = M ** 2
+    if table is not None and (table.m2, table.m, table.s) != (m2, m, s):
+        raise ValueError("table was built for other parameters")
 
     q = math.lcm(m2.denominator, m.denominator, s.denominator)
     a_q3 = m2.numerator * (q // m2.denominator) * q ** 3
     b = m.numerator * (q // m.denominator)
-    # every G_k is kept free of trailing zeros, so G_0 = [] when s = 0
-    G = [[s.numerator * (q // s.denominator)] if s else [], [-q ** 3], [0, q ** 5]]
-    for j in range(order - 2):
+    dens = [q]   # q^(2k+1) k!
+    for k in range(1, order + 1):
+        dens.append(dens[-1] * q * q * k)
+    if table is None:
+        cleared = []
+        # every G_k is kept free of trailing zeros, so G_0 = [] when s = 0
+        G = [[s.numerator * (q // s.denominator)] if s else [], [-q ** 3],
+             [0, q ** 5]]
+    else:
+        cleared = list(table.cleared[:order + 1])
+        G = [[x * (den // L) for x in c] for (c, L), den in zip(cleared, dens)]
+    for j in range(len(G) - 3, order - 2):
         acc = [0] * (2 * max(map(len, G)) - 1)
         _add_product(acc, G[j + 1], [a_q3])
         for k in range(j + 1):
@@ -108,11 +127,7 @@ def taylor_table(params: ModelParams, order: int) -> TaylorTable:
             acc.pop()
         G.append(acc)
 
-    cleared = []
-    den = q
-    for k, g in enumerate(G):
-        if k:
-            den *= q * q * k
+    for g, den in zip(G[len(cleared):], dens[len(cleared):]):
         r = math.gcd(den, *g)
         cleared.append((tuple(x // r for x in g), den // r))
     return TaylorTable(m2=m2, m=m, s=s, cleared=tuple(cleared))

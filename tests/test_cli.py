@@ -106,6 +106,16 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
 
+    @pytest.mark.parametrize("D_max", ["100", "1000000"])
+    def test_large_Dmax_stops_where_the_sequence_does(self, D_max, capsys):
+        # the Taylor table grows with D, so D_max only bounds the search,
+        # which stops at D = 18 as with the default
+        with deadline(5):
+            code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8",
+                         "--Dmax", D_max])
+        assert code == 0
+        assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
+
     def test_fraction_flags_reach_the_table(self, monkeypatch, capsys):
         seen = []
 

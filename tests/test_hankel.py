@@ -589,6 +589,20 @@ class TestAlphaSequence:
         assert seq.skipped == [5, 10]
         assert seq.alpha_star == 4.20411389079527
 
+    def test_table_grows_with_D(self, paper_params, monkeypatch):
+        # the paper sequence stops at D = 18, whose matrix reads f_1 ..
+        # f_35: no longer table is built, whatever D_max allows
+        orders = []
+        build = hankel.taylor_table
+
+        def spy(params, order, *table):
+            orders.append(order)
+            return build(params, order, *table)
+        monkeypatch.setattr(hankel, "taylor_table", spy)
+        alpha_sequence(paper_params, HankelConfig(D_max=30),
+                       solve_n1(paper_params).beta)
+        assert orders and max(orders) == 2 * 18 - 1
+
     def test_paper_windows_are_frozen(self, paper_params, monkeypatch):
         calls = record_windows(monkeypatch)
         alpha_sequence(paper_params, HankelConfig(D_max=30),

@@ -321,7 +321,8 @@ class TestShooting:
         with deadline(5), pytest.raises(ivp.StepUnderflow):
             shoot_refine(paper_params, (-1e308, 1e308))
         with pytest.raises(ivp.StepUnderflow):
-            ivp._dopri(rhs(paper_params), (1.8, -1.0, -1e308), 1.0, 1e-10, 1e-12)
+            ivp._dopri(rhs(paper_params), (1.8, -1.0, -1e308), 1.0, 1e-10,
+                       1e-12, lambda y: -1.0)
 
     def test_bracket_order_irrelevant(self, paper_params):
         a = shoot_refine(paper_params, (4.4, 4.0))
@@ -532,3 +533,29 @@ class TestGuidedShooting:
         # far past the event the tail value overflows to the side's infinity
         assert ivp._divergence_side(PAPER, 4.0, 1e3, growth) == (-1, -math.inf)
         assert ivp._divergence_side(PAPER, 4.4, 1e3, growth) == (1, math.inf)
+
+
+# _divergence_side's (side, u) at the horizon 3 * auto_eta_max, with the
+# tail growth rate, frozen: alpha 4.0 stops at f' = -1.5, 4.2 runs to the
+# horizon, 4.5 and the m = 1 case at 2.4 stop at f' = +0.5
+DIVERGENCE_RECORDS = [
+    (ModelParams(2, 2, 1.8), 4.0, (-1, -53.55473319262372)),
+    (ModelParams(2, 2, 1.8), 4.2, (-1, -1.059542424355493)),
+    (ModelParams(2, 2, 1.8), 4.5, (1, 62.862090169800375)),
+    (ModelParams(2, 1, 1), 2.4, (1, 119262496.7925838)),
+]
+
+
+class TestStopRecords:
+    """Where both of the adaptive stepper's stops land, without scipy."""
+
+    @pytest.mark.parametrize("params,alpha,record", DIVERGENCE_RECORDS)
+    def test_divergence_side(self, params, alpha, record):
+        growth = ivp._tail_growth(params, solve_n1(params).beta)
+        eta_max = 3 * auto_eta_max(params)
+        assert ivp._divergence_side(params, alpha, eta_max, growth) == record
+
+    def test_blowup_eta(self, paper_params):
+        with pytest.raises(Blowup) as exc:
+            integrate(paper_params, -5.0, IntegratorConfig(eta_max=30.0))
+        assert exc.value.eta == 2.0924392131824447

@@ -115,6 +115,32 @@ def test_cleared_form_is_lowest_terms(M, m, s):
                                 for p in fraction_recurrence(M, m, s, 24))
 
 
+@pytest.mark.parametrize("M, m, s", RECURRENCE_CASES + [
+    (Fraction(0), Fraction(2), Fraction(1, 2)),
+    (Fraction(2), Fraction(1), Fraction(0)),  # s = 0: f_0 is ((), 1)
+])
+def test_grown_table_equals_one_shot(M, m, s):
+    params = ModelParams(M, m, s)
+    tab = taylor_table(params, 3)
+    for order in range(4, 41):
+        tab = taylor_table(params, order, tab)
+        assert tab.order == order
+    assert tab.cleared == taylor_table(params, 40).cleared
+    # a shorter order reads the table's own prefix
+    assert taylor_table(params, 7, tab) == taylor_table(params, 7)
+
+
+def test_grown_table_of_other_parameters_rejected():
+    tab = taylor_table(ModelParams(2, 2, 1.8), 5)
+    for other in (ModelParams(2, 2, 1.7), ModelParams(2, 1, 1.8),
+                  ModelParams(3, 2, 1.8)):
+        with pytest.raises(ValueError, match="other parameters"):
+            taylor_table(other, 8, tab)
+    # the recurrence reads only M^2, so -M continues the table of M
+    assert taylor_table(ModelParams(-2, 2, 1.8), 8, tab) == taylor_table(
+        ModelParams(2, 2, 1.8), 8)
+
+
 def test_cleared_form_matches_entries():
     tab = taylor_table(ModelParams(Fraction(1, 3), Fraction(37, 100),
                                    Fraction(231, 100)), 12)

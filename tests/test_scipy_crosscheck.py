@@ -23,8 +23,10 @@ CFG = IntegratorConfig()
 PAPER = ModelParams(2, 2, 1.8)
 M1 = ModelParams(2, 1, 1)
 M1_EXACT = (1 + math.sqrt(13)) / 2
-# _divergence_side's terminal events: f' up through +0.5, down through -1.5
+# _divergence_side's terminal events for scipy: f' up through +0.5, down
+# through -1.5; _dopri stops on their product, which rises through 0 at both
 EVENTS = [(lambda y: y[1] - 0.5, 1), (lambda y: y[1] + 1.5, -1)]
+STOP = lambda y: (y[1] - 0.5) * (y[1] + 1.5)
 
 SHOOT = 3 * auto_eta_max(PAPER)  # shooting's span at the paper case
 
@@ -66,10 +68,12 @@ def scipy_rk45(params, alpha, span, events=(), **kw):
 def test_same_steps_end_state_and_event(params, alpha, span, event):
     f, nfev = counted(ivp.rhs(params))
     t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, ivp.REL_TOL,
-                           ivp.ABS_TOL, EVENTS)
+                           ivp.ABS_TOL, STOP)
     ref = scipy_rk45(params, alpha, span, EVENTS)
     assert nfev[0] == ref.nfev
-    assert hit == event
+    assert hit is (event is not None)
+    if hit:   # f' stops at +0.5 (event 0) or at -1.5 (event 1)
+        assert (y[1] > 0) is (event == 0)
     fired = [i for i, te in enumerate(ref.t_events) if te.size]
     assert fired == ([] if event is None else [event])
     if event is None:
@@ -98,9 +102,9 @@ def test_start_above_blowup_level_is_no_blowup():
     blowup = [(lambda y: abs(y[2]) - ivp.BLOWUP, 0)]
     f, nfev = counted(ivp.rhs(params))
     t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, ivp.REL_TOL,
-                           ivp.ABS_TOL, blowup)
+                           ivp.ABS_TOL, blowup[0][0])
     ref = scipy_rk45(params, alpha, span, blowup)
-    assert hit is None and t == span
+    assert hit is False and t == span
     assert ref.status == 0 and ref.t_events[0].size == 0
     assert nfev[0] == ref.nfev
     # f' ends at -1 + (1 - e^-10): an increment of nearly 1 on -1, so only
