@@ -15,12 +15,12 @@ evaluated by integer Horner from the table's integer form, and all are
 scaled to integers c_t = K r^t f_{t+d+2}(alpha), t = 0..2D-2, with
 rationals K, r > 0. Such a scaling keeps the sign:
 det[K r^(i+j) f_{i+j+d+2}] = K^D r^(D(D-1)) det[f_{i+j+d+2}], since the
-matrix is K diag(r^i) [f_{i+j+d+2}] diag(r^j). For each prime p the
-factor p^(A + s t) with the integer line A + s t lying under v_p of every
-entry and removing the most factors of p is divided out; this strips the
-common powers of 2 (including those of b in alpha = a/b) and of the odd
-primes of the table's denominators, about a third of the entry bits of
-the paper case at D = 18 and 30. The sign of det[c_{i+j}] comes from
+matrix is K diag(r^i) [f_{i+j+d+2}] diag(r^j). For 2 and each odd prime
+p of q (the lcm of the parameters' denominators) the factor p^(A + s t)
+with the integer line A + s t lying under v_p of every entry and removing
+the most factors of p is divided out, including the powers of b in
+alpha = a/b; this is about a third of the entry bits of the paper case
+(q = 5) at D = 18 and 30. The sign of det[c_{i+j}] comes from
 Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
 of the same integer matrix decides instead. Root location is a dyadic-point scan
@@ -172,11 +172,6 @@ def _best_line(ts, vs) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _odd_primes_to(n: int) -> list[int]:
-    return [p for p in range(3, n + 1, 2)
-            if all(p % f for f in range(3, math.isqrt(p) + 1, 2))]
-
-
 def _valuation(x: int, p: int) -> int:
     v = 0
     while x % p == 0:
@@ -191,20 +186,22 @@ def _entry_multipliers(table: TaylorTable, d: int, D: int) -> tuple[int, ...]:
     the lcm of their L_t. Each odd base p gets the line of `_best_line`
     under v_p(Q / L_t), so Q / L_t = m_t K r^t with K, r > 0.
 
-    The bases are the odd primes up to 2D+d (the k! in the denominators)
-    and what is left of Q once those and 2 are divided out (the primes of
-    q, taken together). The 2-adic line depends on alpha and is taken per
-    call. Kept on the table once per (d, D)."""
+    The bases are the odd primes of the table's q, whose powers in L_t
+    grow by 2 per entry (a cofactor with no factor below 2^16 is one
+    base). The 2-adic line depends on alpha and is taken per call. Kept
+    on the table once per (d, D)."""
     memo = vars(table).setdefault("_hankel_multipliers", {})
     if (d, D) in memo:
         return memo[d, D]
     Ls = [L for _, L in table.cleared[d + 2:2 * D + d + 1]]
     Q = math.lcm(*Ls)
     mult = [Q // L for L in Ls]
-    bases = _odd_primes_to(2 * D + d)
-    rest = Q // (Q & -Q)
-    for p in bases:
-        rest //= p ** _valuation(rest, p)
+    rest, bases, p = table.q // (table.q & -table.q), [], 3
+    while p < 2 ** 16 and p * p <= rest:
+        if rest % p == 0:
+            bases.append(p)
+            rest //= p ** _valuation(rest, p)
+        p += 2
     if rest > 1:
         bases.append(rest)
     ts = range(len(mult))

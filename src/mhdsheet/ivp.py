@@ -170,10 +170,10 @@ def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
 
 
-def _initial_step(f, y, k, t_end, rtol, atol) -> float:
+def _initial_step(f, y, k, t_end) -> float:
     """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
-    for a 4th-order error estimate."""
-    scale = [atol + abs(a) * rtol for a in y]
+    for a 4th-order error estimate at REL_TOL and ABS_TOL."""
+    scale = [ABS_TOL + abs(a) * REL_TOL for a in y]
     d0 = _rms([a / c for a, c in zip(y, scale)])
     d1 = _rms([b / c for b, c in zip(k, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -207,13 +207,13 @@ def _interpolant(step: _Step) -> Callable[[float], tuple]:
     return at
 
 
-def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
-           atol: float, stop: Callable[[Sequence[float]], float],
+def _dopri(f: Callable, y: Sequence[float], t_end: float,
+           stop: Callable[[Sequence[float]], float],
            steps: Optional[list] = None) -> tuple[float, tuple, bool]:
     """Integrate y' = f(t, y) from t = 0 to t_end by Dormand-Prince 5(4),
     step for step as scipy's RK45: RMS error norm with the scale
-    atol + max(|y|, |y_new|) rtol, safety factor 0.9, step factor within
-    [0.2, 10] and no growth right after a rejection.
+    ABS_TOL + max(|y|, |y_new|) REL_TOL, read at each call, safety 0.9,
+    step factor within [0.2, 10] and no growth right after a rejection.
 
     Stops where stop(y) rises through 0 across an accepted step
     (stop(y_old) <= 0 <= stop(y_new)): the crossing is bisected on the
@@ -222,10 +222,11 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float, rtol: float,
     returns (t_end, y(t_end), False). Each accepted step is appended to
     `steps` when given. Raises StepUnderflow when the step would fall
     below 10 ulp(t), which a nan or infinite derivative also leads to."""
+    rtol, atol = REL_TOL, ABS_TOL
     t = 0.0
     y = tuple(y)
     k1 = f(t, y)
-    h_abs = _initial_step(f, y, k1, t_end, rtol, atol)
+    h_abs = _initial_step(f, y, k1, t_end)
     g_old = stop(y)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A
@@ -324,8 +325,9 @@ def _refine_extrema(samples, fpp_at: Callable[[float], float],
 def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
               step: float, level: float) -> Sequence[float]:
     """y at eta + span by RK4 in the fewest equal substeps no longer than
-    `step`. Raises Blowup when |f''| passes `level` after a substep."""
-    nsub = max(1, int(math.ceil(span / step)))
+    `step` up to a relative 1e-9 (a span a few ulps over k steps takes
+    k). Raises Blowup when |f''| passes `level` after a substep."""
+    nsub = max(1, math.ceil(span / step * (1 - 1e-9)))
     h = span / nsub
     for _ in range(nsub):
         y = _rk4_step(f, eta, y, h)
@@ -374,7 +376,7 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
             return _rk4_span(f, eta, y, t - eta, step, level)
     else:
         steps: list[_Step] = []
-        eta_b, y_b, hit = _dopri(f, y0, cfg.eta_max, REL_TOL, ABS_TOL,
+        eta_b, y_b, hit = _dopri(f, y0, cfg.eta_max,
                                  lambda y: abs(y[2]) - level, steps)
         if hit:
             raise Blowup(f"|f''| exceeded {level:g} at eta={eta_b:g}",
@@ -437,7 +439,6 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
     integrator cannot advance."""
 
     eta, y, hit = _dopri(rhs(params), (params.s, -1.0, alpha), eta_max,
-                         REL_TOL, ABS_TOL,
                          lambda y: (y[1] - 0.5) * (y[1] + 1.5))
     fp = (0.5 if y[1] > 0 else -1.5) if hit else y[1]
     side = 1 if fp > 0 else -1

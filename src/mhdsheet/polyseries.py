@@ -13,8 +13,8 @@ seeded by f_0 = s, f_1 = -1, f_2 = alpha/2, on `ModelParams.exact`. All
 arithmetic is exact; the Hankel sign tests downstream depend on that.
 
 The table is built over the integers. With q the lcm of the denominators
-of M^2, m and s, write M^2 = A/q and m = B/q. Multiplying the recurrence
-by j! turns it into one for F_k = k! f_k with binomial weights, and
+of M^2, m and s (`TaylorTable.q`), write M^2 = A/q and m = B/q. Times j!,
+the recurrence is one for F_k = k! f_k with binomial weights, and
 G_k = q^(2k+1) F_k then obeys
 
     G_{j+3} = A q^3 G_{j+1}
@@ -23,7 +23,7 @@ G_k = q^(2k+1) F_k then obeys
 from G_0 = q s, G_1 = -q^3, G_2 = q^5 alpha. Every G_k is a polynomial in
 alpha with integer coefficients, so no gcd is taken until the end, where
 the table keeps f_k = G_k / (q^(2k+1) k!) reduced once to lowest terms.
-A longer table continues the recurrence from a shorter one's G_k.
+Every table continues the recurrence from a shorter one's G_k.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ class TaylorTable:
     def order(self) -> int:
         return len(self.cleared) - 1
 
+    @property
+    def q(self) -> int:
+        """The lcm of the denominators of M^2, m and s."""
+        return math.lcm(*(x.denominator for x in (self.m2, self.m, self.s)))
+
     @cached_property
     def entries(self) -> tuple[AlphaPolynomial, ...]:
         """The entries as rational polynomials, derived on first use."""
@@ -90,32 +95,28 @@ def taylor_table(params: ModelParams, order: int,
                  table: Optional[TaylorTable] = None) -> TaylorTable:
     """Build f_0 .. f_order by the exact recurrence. Requires order >= 3.
 
-    Given a `table` of the same exact parameters, the recurrence continues
-    from its entries, each G_k = c_k q^(2k+1) k! / L_k taken back from
-    `cleared`, instead of starting again at f_0, so a table can grow one
-    order at a time as its reader needs; the result equals the one-shot
-    build. A table of other parameters is a ValueError."""
+    The recurrence continues from the entries of `table` (of the same exact
+    parameters, else ValueError), or of the seed table f_0 .. f_2, each
+    G_k = c_k q^(2k+1) k! / L_k taken back from `cleared`, so a table can
+    grow one order at a time as its reader needs; the result equals the
+    one-shot build."""
     if order < 3:
         raise ValueError(f"order must be >= 3, got {order}")
     M, m, s = params.exact
     m2 = M ** 2
-    if table is not None and (table.m2, table.m, table.s) != (m2, m, s):
+    table = table or TaylorTable(m2=m2, m=m, s=s, cleared=(
+        ((s.numerator,) if s else (), s.denominator), ((-1,), 1), ((0, 1), 2)))
+    if (table.m2, table.m, table.s) != (m2, m, s):
         raise ValueError("table was built for other parameters")
 
-    q = math.lcm(m2.denominator, m.denominator, s.denominator)
+    q = table.q
     a_q3 = m2.numerator * (q // m2.denominator) * q ** 3
     b = m.numerator * (q // m.denominator)
     dens = [q]   # q^(2k+1) k!
     for k in range(1, order + 1):
         dens.append(dens[-1] * q * q * k)
-    if table is None:
-        cleared = []
-        # every G_k is kept free of trailing zeros, so G_0 = [] when s = 0
-        G = [[s.numerator * (q // s.denominator)] if s else [], [-q ** 3],
-             [0, q ** 5]]
-    else:
-        cleared = list(table.cleared[:order + 1])
-        G = [[x * (den // L) for x in c] for (c, L), den in zip(cleared, dens)]
+    cleared = list(table.cleared[:order + 1])
+    G = [[x * (den // L) for x in c] for (c, L), den in zip(cleared, dens)]
     for j in range(len(G) - 3, order - 2):
         acc = [0] * (2 * max(map(len, G)) - 1)
         _add_product(acc, G[j + 1], [a_q3])

