@@ -11,7 +11,8 @@ All three format the result of one pipeline, `_run`: the N=1 and N=2
 ansatz solutions, the Hankel alpha from the sequence seeded with the N=1
 beta (unless `profile --alpha` gives it), the profile integrated from
 that alpha and the `STOP_ERRORS` member that stopped it, if any. The
-Hankel flags --d, --Dmax and --tol are exactly `hankel.HankelConfig`.
+Hankel flags --d, --Dmax and --tol are exactly `hankel.HankelConfig`, and
+profile's --stride defaults to `ivp.IntegratorConfig.sample_stride`.
 
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this f''(0) instead of solving for it")
     p.add_argument("--eta-max", dest="eta_max", default="auto",
                    help="integration endpoint, decimal or 'auto'")
-    p.add_argument("--stride", type=float, default=0.01,
+    p.add_argument("--stride", type=float,
+                   default=ivp.IntegratorConfig.sample_stride,
                    help="output sampling interval in eta")
     p.set_defaults(func=cmd_profile)
 

@@ -23,7 +23,9 @@ Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips, on the same loop. Only that exact side decides the
 bracket. A continuous tail value from the same trajectory picks which
 node of bisection's tree to integrate next (Illinois regula falsi), so the
-result is plain bisection's float in fewer trajectories.
+result is plain bisection's float in fewer trajectories. The N=1 decay
+rate alone sets both the horizon of each trial and the tail growth rate
+behind that value.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def _tail_growth(params: ModelParams, beta: float) -> float:
 
 
 def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
-                     growth: Optional[float] = None) -> tuple[int, float]:
+                     growth: float) -> tuple[int, float]:
     """(side, u) for the trajectory from alpha, integrated by RK45 to
     eta_max at the tolerances REL_TOL and ABS_TOL.
 
@@ -435,31 +437,28 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
     stop (that end, or eta_max) out to eta_max along the unstable tail
     mode. Its sign is the side, and across a shooting bracket it is
     nearly linear in alpha, so it can guide the choice of the next alpha.
-    u is nan when no growth rate is given. Raises StepUnderflow when the
-    integrator cannot advance."""
+    Raises StepUnderflow when the integrator cannot advance."""
 
     eta, y, hit = _dopri(rhs(params), (params.s, -1.0, alpha), eta_max,
                          lambda y: (y[1] - 0.5) * (y[1] + 1.5))
     fp = (0.5 if y[1] > 0 else -1.5) if hit else y[1]
     side = 1 if fp > 0 else -1
-    if growth is None:
-        return side, math.nan
     try:
         return side, fp * math.exp(growth * (eta_max - eta))
     except OverflowError:
         return side, math.copysign(math.inf, fp)
 
 
-def shoot_refine(params: ModelParams, bracket: tuple[float, float],
-                 eta_max: Optional[float] = None) -> float:
+def shoot_refine(params: ModelParams, bracket: tuple[float, float]) -> float:
     """alpha at the sign change of the divergence side inside bracket,
     resolved to bisection's final width of 1e-8, or to two adjacent
     floats once those are further apart (|alpha| >= 2^26). Independent
     cross-check for the Hankel result.
 
-    Each trial integrates to the horizon eta_max, by default 3 (10 / beta)
-    with beta the N=1 decay rate, three times the profile's auto eta_max:
-    divergence needs room to show. Without a real N=1 rate it must be given.
+    The N=1 decay rate beta sets both the horizon and the guide. Each
+    trial integrates to 3 `auto_eta_max` = 3 (10 / beta), three times the
+    profile's auto eta_max: divergence needs room to show. Without a real
+    N=1 rate the ComplexDecay of `ansatz.solve_n1` propagates.
 
     The result is the one plain bisection on the side would return: the
     midpoint of its final leaf. It runs `bisect_sign` on the bracket, and
@@ -470,26 +469,17 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     falsi step (Dowell & Jarratt 1971) on the tail value u of
     `_divergence_side`, rounded to the deepest node inside (a, b) on the
     tree path toward it (one more `bisect_sign` walk from the bracket);
-    without a usable u (no real N=1 decay rate, a non-finite u, or a u
-    whose sign is not the side) it is the midpoint itself. When the side
-    changes once inside the bracket every inferred side is the side
-    bisection would compute, so the result is the same float."""
+    without a usable u (a non-finite u, or a u whose sign is not the
+    side) it is the midpoint itself. When the side changes once inside
+    the bracket every inferred side is the side bisection would compute,
+    so the result is the same float."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket must be finite")
-    if eta_max is not None and not 0 < eta_max < math.inf:
-        raise ValueError("eta_max must be positive and finite")
     if lo > hi:
         lo, hi = hi, lo
-    try:
-        beta = ansatz.solve_n1(params).beta
-    except ansatz.ComplexDecay:
-        if eta_max is None:
-            raise
-        beta = None
-    if eta_max is None:
-        eta_max = 3 * (10.0 / beta)  # not 30.0 / beta: another float
-    growth = None if beta is None else _tail_growth(params, beta)
+    eta_max = 3 * auto_eta_max(params)
+    growth = _tail_growth(params, ansatz.solve_n1(params).beta)
 
     side_lo, ua = _divergence_side(params, lo, eta_max, growth)
     side_hi, ub = _divergence_side(params, hi, eta_max, growth)

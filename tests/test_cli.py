@@ -461,6 +461,9 @@ class TestParser:
             assert args.d == HankelConfig().d == -1
             assert args.Dmax == HankelConfig().D_max == 30
             assert args.tol == HankelConfig().tol == 1e-10
+        args = build_parser().parse_args(
+            ["profile", "--M", "2", "--m", "2", "--s", "1.8"])
+        assert args.stride == ivp.IntegratorConfig().sample_stride == 0.01
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -369,12 +369,12 @@ class TestExactFamilies:
         assert abs(alpha - exact_alpha(params)) <= 1e-6
 
 
-def reference_bisection(params, bracket, eta_max=None):
+def reference_bisection(params, bracket):
     """Plain bisection on the divergence side, the search that shoot_refine
-    must reproduce bit for bit."""
-    if eta_max is None:
-        eta_max = 3 * auto_eta_max(params)
-    side = lambda a: ivp._divergence_side(params, a, eta_max)[0]
+    must reproduce bit for bit. The side does not depend on the growth
+    rate passed along with it."""
+    eta_max = 3 * auto_eta_max(params)
+    side = lambda a: ivp._divergence_side(params, a, eta_max, 1.0)[0]
     lo, hi = sorted(map(float, bracket))
     side_lo = side(lo)
     assert side(hi) != side_lo
@@ -403,12 +403,12 @@ def counting_trajectories():
         ivp.rhs = original
 
 
-def guided_and_reference(params, bracket, eta_max=None):
+def guided_and_reference(params, bracket):
     """(alpha, trajectories) of shoot_refine, then of reference_bisection."""
     with counting_trajectories() as n:
-        alpha = shoot_refine(params, bracket, eta_max)
+        alpha = shoot_refine(params, bracket)
     with counting_trajectories() as n_ref:
-        ref = reference_bisection(params, bracket, eta_max)
+        ref = reference_bisection(params, bracket)
     return alpha, n[0], ref, n_ref[0]
 
 
@@ -492,25 +492,33 @@ class TestGuidedShooting:
 
     @pytest.mark.parametrize("params,bracket", BRACKETS[:3])
     def test_bisection_fallback(self, params, bracket, monkeypatch):
-        # no tail growth rate: every test is bisection's own midpoint
-        monkeypatch.setattr(ivp, "_tail_growth", lambda params, beta: None)
+        # a nan growth rate makes every tail value nan: every test is
+        # bisection's own midpoint
+        monkeypatch.setattr(ivp, "_tail_growth", lambda params, beta: math.nan)
         alpha, n, ref, n_ref = guided_and_reference(params, bracket)
         assert alpha == ref
         assert n == n_ref
 
-    def test_complex_decay_falls_back_to_bisection(self):
-        # no real N=1 decay rate: no guide, and eta_max must be given
-        params = ModelParams(0, 2, 0.5)
-        alpha, n, ref, n_ref = guided_and_reference(params, (-1.5, -1.0), 30.0)
-        assert alpha == ref
-        assert n == n_ref
+    def test_complex_decay_propagates(self):
+        # no real N=1 decay rate: neither a horizon nor a guide
         with pytest.raises(ComplexDecay):
-            shoot_refine(params, (-1.5, -1.0))
+            shoot_refine(ModelParams(0, 2, 0.5), (-1.5, -1.0))
 
-    def test_fixed_eta_max(self):
-        alpha, n, ref, n_ref = guided_and_reference(PAPER, (4.0, 4.4), 7.5)
-        assert alpha == ref
-        assert n <= n_ref
+    @pytest.mark.parametrize("params,bracket", BRACKETS)
+    def test_horizon_and_growth_from_n1_rate(self, params, bracket,
+                                             monkeypatch):
+        # every trial integrates to 3 auto_eta_max, guided by the tail
+        # growth rate of the N=1 decay rate
+        calls, original = [], ivp._divergence_side
+
+        def spy(params, alpha, eta_max, growth):
+            calls.append((eta_max, growth))
+            return original(params, alpha, eta_max, growth)
+        monkeypatch.setattr(ivp, "_divergence_side", spy)
+        shoot_refine(params, bracket)
+        expected = (3 * auto_eta_max(params),
+                    ivp._tail_growth(params, solve_n1(params).beta))
+        assert calls and all(call == expected for call in calls)
 
     @pytest.mark.parametrize("guided", [True, False])
     def test_bracket_of_adjacent_floats_ends(self, guided, monkeypatch):
@@ -518,7 +526,7 @@ class TestGuidedShooting:
         # stops shrinking at two adjacent floats; the search must end there
         step = 2.0 ** 30 + 0.3
 
-        def side(params, alpha, eta_max, growth=None):
+        def side(params, alpha, eta_max, growth):
             return (1 if alpha > step else -1,
                     alpha - step if guided else math.nan)
         monkeypatch.setattr(ivp, "_divergence_side", side)
@@ -532,11 +540,6 @@ class TestGuidedShooting:
         with pytest.raises(ValueError, match="bracket must be finite"):
             shoot_refine(PAPER, bracket)
 
-    @pytest.mark.parametrize("eta_max", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_horizon_rejected(self, eta_max):
-        with pytest.raises(ValueError, match="eta_max"):
-            shoot_refine(PAPER, (4.0, 4.4), eta_max)
-
     def test_tail_value_sign_is_side(self):
         eta_max = 3 * auto_eta_max(PAPER)
         growth = ivp._tail_growth(PAPER, solve_n1(PAPER).beta)
@@ -544,7 +547,6 @@ class TestGuidedShooting:
         for alpha in (4.0, 4.2, 4.21, 4.4):
             side, u = ivp._divergence_side(PAPER, alpha, eta_max, growth)
             assert side == (1 if u > 0 else -1)
-        assert math.isnan(ivp._divergence_side(PAPER, 4.2, eta_max)[1])
         # far past the event the tail value overflows to the side's infinity
         assert ivp._divergence_side(PAPER, 4.0, 1e3, growth) == (-1, -math.inf)
         assert ivp._divergence_side(PAPER, 4.4, 1e3, growth) == (1, math.inf)
