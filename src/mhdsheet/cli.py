@@ -107,8 +107,9 @@ def _add_common_flags(p):
     p.add_argument("--s", type=_parse_exact, required=True,
                    help="suction parameter (decimal or p/q)")
     p.add_argument("--d", type=int, default=hankel.HankelConfig.d,
-                   help="Hankel offset: entries f_{i+j+d}, i.e. H_D^(d+1) in "
-                        "Hankel-Pade notation; -1 (default) starts at f_1")
+                   help="Hankel offset: entries F_{i+j+d} = f^(i+j+d)(0), i.e. "
+                        "H_D^(d+1) in Hankel-Pade notation; -1 (default) "
+                        "starts at F_1 = f'(0)")
     p.add_argument("--Dmax", type=int, default=hankel.HankelConfig.D_max,
                    help="maximum Hankel dimension")
     p.add_argument("--tol", type=float, default=hankel.HankelConfig.tol,

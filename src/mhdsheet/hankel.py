@@ -1,31 +1,40 @@
 """Hankel-determinant determination of the shooting parameter alpha.
 
-The D x D Hankel matrix has entries f_{i+j+d}(alpha), i,j = 1..D, taken
-from the exact Taylor table. Its determinant is a polynomial in alpha; the
-root sequence alpha_D (D = 2, 3, ...) converges to the physical f''(0).
+The D x D Hankel matrix has entries F_{i+j+d}(alpha), i,j = 1..D, where
+F_k = k! f_k = f^(k)(0) are the derivatives at the wall, taken from the
+exact Taylor table (`TaylorTable.moments`). Its determinant is a
+polynomial in alpha; the root sequence alpha_D (D = 2, 3, ...) converges
+to the physical f''(0). The decaying solution is an exponential sum
+f = sum_j b_j exp(-j beta eta), so F_k = sum_j b_j (-j beta)^k are the
+moments of a discrete measure, and (Prony) the Hankel determinants of
+such moments have a root near alpha that converges geometrically in D:
+the paper case settles at D = 8, 3.1e-9 from the shooting value. The
+paper's own matrix reads the Taylor coefficients f_k = F_k / k!, which
+loses the moment structure; its sequence settles only at D = 18, and the
+tests compare its root against this one.
 
-The offset d fixes the first entry, f_{d+2}. In the Hankel-Pade notation
-H_D^e = |f_{i+j+e-1}|, i,j = 1..D, this matrix is H_D^(d+1). The default
-d = -1 starts at f_1 and is H_D^0; d = 0 starts at f_2 (H_D^1) and d = 1
-at f_3 (H_D^2). The bound d >= -1 keeps f_0 = s out of the matrix.
+The offset d fixes the first entry, F_{d+2}. In the Hankel-Pade notation
+H_D^e = |F_{i+j+e-1}|, i,j = 1..D, this matrix is H_D^(d+1). The default
+d = -1 starts at F_1 and is H_D^0; d = 0 starts at F_2 (H_D^1) and d = 1
+at F_3 (H_D^2). The bound d >= -1 keeps F_0 = s out of the matrix.
 
 Determinant signs are computed exactly. The matrix has only 2D-1
-distinct entries f_{d+2} .. f_{2D+d}; at a rational alpha = a/b each is
-evaluated by integer Horner from the table's integer form, and all are
-scaled to integers c_t = K r^t f_{t+d+2}(alpha), t = 0..2D-2, with
-rationals K, r > 0. Such a scaling keeps the sign:
-det[K r^(i+j) f_{i+j+d+2}] = K^D r^(D(D-1)) det[f_{i+j+d+2}], since the
-matrix is K diag(r^i) [f_{i+j+d+2}] diag(r^j). For 2 and each odd prime
+distinct entries F_{d+2} .. F_{2D+d}; at a rational alpha = a/b each is
+evaluated by integer Horner from the table's integer form of the
+moments, and all are scaled to integers c_t = K r^t F_{t+d+2}(alpha),
+t = 0..2D-2, with rationals K, r > 0. Such a scaling keeps the sign:
+det[K r^(i+j) F_{i+j+d+2}] = K^D r^(D(D-1)) det[F_{i+j+d+2}], since the
+matrix is K diag(r^i) [F_{i+j+d+2}] diag(r^j). For 2 and each odd prime
 p of q (the lcm of the parameters' denominators) the factor p^(A + s t)
 with the integer line A + s t lying under v_p of every entry and removing
 the most factors of p is divided out, including the powers of b in
-alpha = a/b; this is about a third of the entry bits of the paper case
-(q = 5) at D = 18 and 30. The sign of det[c_{i+j}] comes from
+alpha = a/b. The sign of det[c_{i+j}] comes from
 Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
 of the same integer matrix decides instead. Root location is a dyadic-point scan
 of the window that `alpha_sequence` picks for each D (the one config,
-`HankelConfig`, holds just d, D_max and tol). The scan walks the
+`HankelConfig`, holds just d, D_max and tol, the CLI's --d, --Dmax and
+--tol). The scan walks the
 candidate brackets, grid points and cells, nearest the guess first and
 takes the first one across which the sign is 0 or changes, signing only
 the points it walks past. That bracket is bisected with exact signs on
@@ -69,13 +78,13 @@ class MultipleRootsWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HankelConfig:
-    d: int = -1  # first entry f_{d+2}; d = -1 is the Hankel-Pade H_D^0
+    d: int = -1  # first entry F_{d+2}; d = -1 is the Hankel-Pade H_D^0
     D_max: int = 30
     tol: float = 1e-10
 
     def __post_init__(self):
         if self.d < -1:
-            raise ValueError("d must be >= -1 (the first entry is f_{d+2}, at lowest f_1)")
+            raise ValueError("d must be >= -1 (the first entry is F_{d+2}, at lowest F_1)")
         if self.D_max < 2:
             raise ValueError("D_max must be >= 2")
         if not self.tol > 0:  # nan included
@@ -97,10 +106,13 @@ def _check_order(table: TaylorTable, d: int, D: int) -> None:
 
 
 def hankel_entries(table: TaylorTable, d: int, D: int) -> list[list[AlphaPolynomial]]:
-    """The D x D matrix with entry (i,j) = f_{i+j+d}, i,j = 1..D."""
+    """The D x D matrix with entry (i,j) = F_{i+j+d} = (i+j+d)! f_{i+j+d},
+    i,j = 1..D, built from the (coefficients, L) of `TaylorTable.moments`
+    that the exact sign test reads."""
     _check_order(table, d, D)
-    return [[table.entries[i + j + d] for j in range(1, D + 1)]
-            for i in range(1, D + 1)]
+    h = [AlphaPolynomial(tuple(Fraction(c, L) for c in cs))
+         for cs, L in table.moments[:2 * D + d + 1]]
+    return [[h[i + j + d] for j in range(1, D + 1)] for i in range(1, D + 1)]
 
 
 def _int_matrix(rows: list[list[Fraction]]) -> list[list[int]]:
@@ -182,7 +194,7 @@ def _valuation(x: int, p: int) -> int:
 
 def _entry_multipliers(table: TaylorTable, d: int, D: int) -> tuple[int, ...]:
     """Integers m_t = (Q / L_t) / prod_p p^(A_p + s_p t), t = 0..2D-2, over
-    the entries f_{d+2} .. f_{2D+d} held as (coefficients, L_t), with Q
+    the entries F_{d+2} .. F_{2D+d} held as (coefficients, L_t), with Q
     the lcm of their L_t. Each odd base p gets the line of `_best_line`
     under v_p(Q / L_t), so Q / L_t = m_t K r^t with K, r > 0.
 
@@ -193,7 +205,7 @@ def _entry_multipliers(table: TaylorTable, d: int, D: int) -> tuple[int, ...]:
     memo = vars(table).setdefault("_hankel_multipliers", {})
     if (d, D) in memo:
         return memo[d, D]
-    Ls = [L for _, L in table.cleared[d + 2:2 * D + d + 1]]
+    Ls = [L for _, L in table.moments[d + 2:2 * D + d + 1]]
     Q = math.lcm(*Ls)
     mult = [Q // L for L in Ls]
     rest, bases, p = table.q // (table.q & -table.q), [], 3
@@ -214,8 +226,8 @@ def _entry_multipliers(table: TaylorTable, d: int, D: int) -> tuple[int, ...]:
 
 
 def _hankel_sequence(table: TaylorTable, d: int, D: int, alpha: Fraction) -> list[int]:
-    """Integers c'_t = K r^t f_{t+d+2}(alpha), t = 0..2D-2, for rationals
-    K, r > 0, so det[c'_{i+j}] = K^D r^(D(D-1)) det[f_{i+j+d+2}] has the
+    """Integers c'_t = K r^t F_{t+d+2}(alpha), t = 0..2D-2, for rationals
+    K, r > 0, so det[c'_{i+j}] = K^D r^(D(D-1)) det[F_{i+j+d+2}] has the
     sign of the Hankel determinant.
 
     Horner runs on numerators: with alpha = a/b, an entry sum p_i alpha^i / L
@@ -225,7 +237,7 @@ def _hankel_sequence(table: TaylorTable, d: int, D: int, alpha: Fraction) -> lis
     (`_entry_multipliers`), and the 2-adic line is taken from the c_t
     themselves, which also removes the powers of b = 2^k."""
     a, b = alpha.numerator, alpha.denominator
-    forms = table.cleared[d + 2:2 * D + d + 1]
+    forms = table.moments[d + 2:2 * D + d + 1]
     top = max(len(ps) for ps, _ in forms)
     bpow = [1]
     for _ in range(top):
@@ -351,8 +363,9 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
 
     Continuation: each D is seeded with the previous root (`seed` to
     start). At some dimensions the determinant has no real root near the
-    physical value (the root pair moves off the real axis); such D are
-    recorded in `skipped` and the guess is kept. The search window is
+    physical value (the root pair moves off the real axis), or a pair of
+    real roots too close for the scan grid to split; such D are recorded
+    in `skipped` and the guess is kept. The search window is
     seed +- |seed|/2 at 129 scan points until two roots are known; from
     then on it is 32 times the last step between roots, at least 1e-4 and
     at most |seed|/2, at 17 points, which both keeps the exact arithmetic

@@ -90,6 +90,18 @@ class TaylorTable:
         return tuple(AlphaPolynomial(tuple(Fraction(c, L) for c in cs))
                      for cs, L in self.cleared)
 
+    @cached_property
+    def moments(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The derivatives F_k = f^(k)(0) = k! f_k in `cleared`'s layout,
+        (c, L) in lowest terms, derived on first use: k! / L_k is reduced
+        by gcd(k!, L_k), and no prime of L_k / gcd can divide the c."""
+        out, fact = [], 1
+        for k, (cs, L) in enumerate(self.cleared):
+            fact *= k or 1
+            r = math.gcd(fact, L)
+            out.append((tuple(c * (fact // r) for c in cs), L // r))
+        return tuple(out)
+
 
 def taylor_table(params: ModelParams, order: int,
                  table: Optional[TaylorTable] = None) -> TaylorTable:

@@ -1,11 +1,14 @@
 """Acceptance suite. Each criterion prints exactly one PASS/FAIL line.
 
-Criterion 1 runs the default Hankel matrix, whose first entry is f_1
-(the Hankel-Pade H_D^0). Its D <= 15 prefix clause depends on that
-choice: with f_1 first, the exact determinants have real roots within
-1e-4 of the physical alpha at D = 10 .. 15. With f_3 first (d=1, H_D^2)
-no real root for any D <= 15 lies closer than 1.3e-4 (D = 13), and at
-D = 14 and 15 the relevant root pair is complex.
+Criterion 1 runs the default Hankel matrix, on the derivatives
+F_k = k! f_k from F_1 (d = -1). Its sequence settles at D = 8, so the
+whole run lies in the D <= 15 prefix, whose best root is 1e-9 from the
+physical alpha (4.6e-5 already at D = 4). The prefix clause was written
+for the paper's matrix of Taylor coefficients f_k, where it depends on
+the offset: with f_1 first the exact determinants have real roots within
+1e-4 at D = 10 .. 15; with f_3 first (H_D^2) no real root for any
+D <= 15 lies closer than 1.3e-4 (D = 13), and at D = 14 and 15 the
+relevant root pair is complex.
 """
 
 import math
@@ -52,9 +55,9 @@ def alpha_star(hankel_run):
 def test_criterion_1_hankel_reproduction(hankel_run, report):
     ok = abs(hankel_run.alpha_star - 4.20411340) < 1e-6
     # prefix clause: the best root over D <= 15 must be within 1e-4.
-    # With the default f_1-first matrix the exact determinants have such
-    # roots at D = 10 .. 15 (4.8e-5 at D = 10, 5.1e-6 at D = 15); the
-    # f_3-first matrix (d=1) has none closer than 1.3e-4 (D = 13).
+    # The default matrix of derivatives settles at D = 8, 1e-9 off; on
+    # the Taylor coefficients the f_1-first matrix has such roots at
+    # D = 10 .. 15 and the f_3-first one (d=1) none closer than 1.3e-4.
     prefix = [r for D, r in hankel_run.roots if D <= 15]
     prefix_err = min(abs(r - 4.20411340) for r in prefix) if prefix else math.inf
     prefix_ok = prefix_err < 1e-4

@@ -19,7 +19,8 @@ from conftest import PAPER_ALPHA, deadline
 FAST = ["--M", "2", "--m", "2", "--s", "1.8", "--Dmax", "14"]
 
 
-# `mhdsheet solve --M 2 --m 2 --s 1.8`, recorded byte for byte
+# `mhdsheet solve --M 2 --m 2 --s 1.8`, recorded byte for byte: the
+# sequence settles at D = 8
 PAPER_SOLVE_STDOUT = (
     '{\n'
     '  "schema": 1,\n'
@@ -46,14 +47,14 @@ PAPER_SOLVE_STDOUT = (
     '    "alpha_est": 4.1982708671\n'
     '  },\n'
     '  "alpha_hankel": {\n'
-    '    "value": 4.2041138908,\n'
+    '    "value": 4.20411339859,\n'
     '    "converged": true,\n'
-    '    "d_reached": 18\n'
+    '    "d_reached": 8\n'
     '  },\n'
-    '  "alpha_shooting": 4.20411339902,\n'
+    '  "alpha_shooting": 4.20411340172,\n'
     '  "agreement": {\n'
-    '    "ansatz1_max_dev": 0.00706634294467,\n'
-    '    "ansatz2_max_dev": 0.000276407119981\n'
+    '    "ansatz1_max_dev": 0.00706627921516,\n'
+    '    "ansatz2_max_dev": 0.000276352316188\n'
     '  },\n'
     '  "monotone_fp": true,\n'
     '  "warnings": []\n'
@@ -61,9 +62,46 @@ PAPER_SOLVE_STDOUT = (
 )
 
 # `mhdsheet solve --M 2 --m 2 --s 1/101 --Dmax 12`, recorded byte for
-# byte: the Hankel alpha's profile blows up, so stdout is empty and the
-# exit code is 2
-PRIME_DENOMINATOR_SOLVE_STDOUT = ''
+# byte: the sequence settles at D = 8, within 5e-9 of shooting
+PRIME_DENOMINATOR_SOLVE_STDOUT = (
+    '{\n'
+    '  "schema": 1,\n'
+    '  "params": {\n'
+    '    "m_hartmann": 2.0,\n'
+    '    "m_coeff": 2.0,\n'
+    '    "s": 0.00990099009901\n'
+    '  },\n'
+    '  "ansatz1": {\n'
+    '    "beta": 1.42414921075,\n'
+    '    "b": [\n'
+    '      -0.692272625175,\n'
+    '      0.702173615274\n'
+    '    ],\n'
+    '    "alpha_est": 1.42414921075\n'
+    '  },\n'
+    '  "ansatz2": {\n'
+    '    "beta": 1.45854166421,\n'
+    '    "b": [\n'
+    '      -0.641961851252,\n'
+    '      0.618109341025,\n'
+    '      0.0337535003269\n'
+    '    ],\n'
+    '    "alpha_est": 1.60215226258\n'
+    '  },\n'
+    '  "alpha_hankel": {\n'
+    '    "value": 1.64842312605,\n'
+    '    "converged": true,\n'
+    '    "d_reached": 8\n'
+    '  },\n'
+    '  "alpha_shooting": 1.64842312114,\n'
+    '  "agreement": {\n'
+    '    "ansatz1_max_dev": 0.0389016724033,\n'
+    '    "ansatz2_max_dev": 0.00612306645928\n'
+    '  },\n'
+    '  "monotone_fp": true,\n'
+    '  "warnings": []\n'
+    '}\n'
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +153,31 @@ class TestSolve:
         # q = 101 lies above every 2D+d the search reaches
         code = main(["solve", "--M", "2", "--m", "2", "--s", "1/101",
                      "--Dmax", "12"])
-        assert code == 2
+        assert code == 0
         out, err = capsys.readouterr()
         assert out == PRIME_DENOMINATOR_SOLVE_STDOUT
-        assert err == "error: Blowup: |f''| exceeded 1e+12 at eta=3.9696\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--s", "1.8"],
+        ["--s", "1/101", "--Dmax", "12"],
+        ["--s", "4/3"],
+    ], ids=["paper", "s=1/101", "s=4/3"])
+    def test_default_solve_agrees_with_shooting(self, argv, capsys):
+        # on the paper's Taylor coefficients s = 1/101 exited 2 with empty
+        # stdout and s = 4/3 ended 3.6e-4 from shooting at D = 30
+        with deadline(5):
+            code = main(["solve", "--M", "2", "--m", "2", *argv])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        alpha = doc["alpha_hankel"]["value"]
+        assert abs(alpha - doc["alpha_shooting"]) < 1e-8 * max(1, abs(alpha))
+        assert doc["monotone_fp"] is True
 
     @pytest.mark.parametrize("D_max", ["100", "1000000"])
     def test_large_Dmax_stops_where_the_sequence_does(self, D_max, capsys):
         # the Taylor table grows with D, so D_max only bounds the search,
-        # which stops at D = 18 as with the default
+        # which stops at D = 8 as with the default
         with deadline(5):
             code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8",
                          "--Dmax", D_max])
@@ -146,14 +200,16 @@ class TestSolve:
 
     def test_tol_below_float_resolution_ends(self, capsys):
         # tol 1e-300 is far below the float spacing at alpha ~ 4: the
-        # bisection stops at float resolution and prints the alpha of the
-        # default tol; bisecting on down to 1e-300 would take ~24 s
+        # bisection stops at float resolution, about 1000 steps short of
+        # 1e-300, and prints an alpha within the default tol of the
+        # default run's 4.20411339859
         with deadline(5):
             code = main(["solve", "--M", "2", "--m", "2", "--s", "1.8",
                          "--Dmax", "10", "--tol", "1e-300"])
-        assert code == 2
+        assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["alpha_hankel"]["value"] == 4.19551922448
+        assert doc["alpha_hankel"]["value"] == 4.20411339861
+        assert doc["alpha_hankel"]["d_reached"] == 8
 
     def test_shooting_failure_is_a_warning(self, solve_json, monkeypatch,
                                            capsys):
@@ -264,18 +320,40 @@ class TestScan:
 
     def test_thirds_reach_the_table_in_time(self, capsys):
         # the interior points 4/3 and 5/3 reached the table as their floats,
-        # 13333333333333333/10^16 and 16666666666666667/10^16, and the scan
-        # took about five times as long; the rows are the same either way
+        # 13333333333333333/10^16 and 16666666666666667/10^16, and on the
+        # paper's Taylor coefficients the scan took about five times as
+        # long; the rows are the same either way
         with deadline(5):
             code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8",
                          "--sweep", "s", "--start", "1", "--stop", "2",
                          "--count", "4", "--Dmax", "18"])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1:] == [
-            "s,1,2.89160446587,2.73205080757,2.87628283925,true,ok",
-            "s,1.33333333333,3.41704254076,3.27698396495,3.40552237048,true,ok",
-            "s,1.66666666667,3.97359996781,3.8524795081,3.96679706672,true,ok",
-            "s,2,4.55620320028,4.44948974278,4.55151672916,true,ok"]
+            "s,1,2.89160465469,2.73205080757,2.87628283925,true,ok",
+            "s,1.33333333333,3.41564510026,3.27698396495,3.40552237048,true,ok",
+            "s,1.66666666667,3.97359970395,3.8524795081,3.96679706672,true,ok",
+            "s,2,4.55620494692,4.44948974278,4.55151672916,true,ok"]
+
+    # the four known defects of the scan at Dmax 14 on the paper's Taylor
+    # coefficients: Hankel alphas 1.6e-4 to 3.3e-4 off, and a false
+    # monotone=false at M = 2.71
+    @pytest.mark.parametrize("M, m, s", [
+        ("1.51", "1", "1.69"), ("1.63", "1", "1.87"),
+        ("1.31", "0", "1.29"), ("2.71", "0", "1.23")])
+    def test_dmax14_known_defects_are_mended(self, M, m, s, capsys):
+        code = main(["scan", "--M", M, "--m", m, "--s", s, "--sweep", "M",
+                     "--start", M, "--stop", M, "--count", "1",
+                     "--Dmax", "14"])
+        assert code == 0
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        M, s = float(M), float(s)
+        # closed forms: m = 1 has f' = -exp(-beta eta); at m = 0 the
+        # first integral of g = f' gives alpha^2 = M^2 - 2/3
+        exact = ((math.sqrt(4 * M * M + s * s - 4) + s) / 2 if m == "1"
+                 else math.sqrt(M * M - 2 / 3))
+        assert abs(float(row["alpha_hankel"]) - exact) < 1e-7
+        assert row["monotone"] == "true"
 
     def test_grid_is_drawn_lazily(self, monkeypatch):
         # built as a list before the first point ran, this grid of 200000

@@ -16,7 +16,7 @@ from mhdsheet import hankel
 from mhdsheet._bisection import bisect_sign
 from mhdsheet.hankel import (MultipleRootsWarning, _bareiss_sign,
                              _condensation_sign, _int_matrix)
-from mhdsheet.polyseries import TaylorTable
+from mhdsheet.polyseries import AlphaPolynomial, TaylorTable
 
 from conftest import clear_by_lcm, deadline
 
@@ -30,33 +30,50 @@ def synthetic_table(entries, s=Fraction(0)):
                        cleared=tuple(cleared))
 
 
+def moment_table(moments, s=Fraction(0)):
+    """A synthetic table whose derivatives F_k = k! f_k, the entries of
+    the Hankel matrix, are the given constants or coefficient lists."""
+    return synthetic_table(
+        [[Fraction(x) / math.factorial(k)
+          for x in (c if isinstance(c, (list, tuple)) else [c])]
+         for k, c in enumerate(moments)], s)
+
+
+def derivative(tab, k):
+    """F_k = k! f_k as a polynomial in alpha, from the Taylor entry."""
+    return AlphaPolynomial(tuple(math.factorial(k) * c
+                                 for c in tab.entries[k].coeffs))
+
+
 class TestEntries:
     def test_d1_D2_indices(self, paper_params):
         tab = taylor_table(paper_params, 8)
         m = hankel_entries(tab, d=1, D=2)
-        assert m[0][0] is tab.entries[3]
-        assert m[0][1] is tab.entries[4]
-        assert m[1][0] is tab.entries[4]
-        assert m[1][1] is tab.entries[5]
+        assert m[0][0] == derivative(tab, 3)
+        assert m[0][1] == derivative(tab, 4)
+        assert m[1][0] is m[0][1]
+        assert m[1][1] == derivative(tab, 5)
 
     def test_d2_D1(self, paper_params):
         tab = taylor_table(paper_params, 8)
-        assert hankel_entries(tab, d=2, D=1) == [[tab.entries[4]]]
+        assert hankel_entries(tab, d=2, D=1) == [[derivative(tab, 4)]]
 
     def test_d1_D3_antidiagonals(self, paper_params):
         tab = taylor_table(paper_params, 8)
         m = hankel_entries(tab, d=1, D=3)
         for i in range(3):
             for j in range(3):
-                assert m[i][j] is tab.entries[i + j + 3]
+                assert m[i][j] == derivative(tab, i + j + 3)
                 assert m[i][j] is m[j][i]  # symmetric
 
     def test_default_offset_starts_at_f1(self, paper_params):
-        # d=-1 is the Hankel-Pade H_D^0 = |f_{i+j-1}|
+        # d=-1 is the Hankel-Pade H_D^0 = |F_{i+j-1}|, whose first
+        # entries are F_1 = f'(0) = -1 and F_2 = f''(0) = alpha
         tab = taylor_table(paper_params, 8)
         m = hankel_entries(tab, d=-1, D=2)
-        assert m[0][0] is tab.entries[1]
-        assert m[1][1] is tab.entries[3]
+        assert m[0][0] == derivative(tab, 1) == AlphaPolynomial((Fraction(-1),))
+        assert m[0][1] == AlphaPolynomial((Fraction(0), Fraction(1)))
+        assert m[1][1] == derivative(tab, 3)
 
     def test_offset_bound(self):
         assert HankelConfig(d=-1).d == -1
@@ -112,23 +129,29 @@ def cofactor_det(rows):
 class TestDetSign:
     def test_1x1_is_entry_sign(self, paper_params):
         tab = taylor_table(paper_params, 4)
-        # f_3 = -1/2 - (3/5) alpha: positive for alpha < -5/6
+        # F_3 = 6 f_3 = -3 - (18/5) alpha: positive for alpha < -5/6
         assert det_sign_at(tab, d=1, D=1, alpha=Fraction(-2)) == 1
         assert det_sign_at(tab, d=1, D=1, alpha=Fraction(0)) == -1
         assert det_sign_at(tab, d=1, D=1, alpha=Fraction(-5, 6)) == 0
 
     def test_exact_root_of_expanded_2x2(self):
-        # synthetic entries f_3 = alpha, f_4 = 1, f_5 = alpha:
+        # synthetic entries F_3 = alpha, F_4 = 1, F_5 = alpha:
         # det = alpha^2 - 1 with exact rational roots
-        tab = synthetic_table([0, 0, 0, [0, 1], 1, [0, 1]])
+        tab = moment_table([0, 0, 0, [0, 1], 1, [0, 1]])
         assert det_sign_at(tab, d=1, D=2, alpha=Fraction(1)) == 0
         assert det_sign_at(tab, d=1, D=2, alpha=Fraction(-1)) == 0
         assert det_sign_at(tab, d=1, D=2, alpha=Fraction(1, 2)) == -1
         assert det_sign_at(tab, d=1, D=2, alpha=Fraction(3)) == 1
+        # the same values given as Taylor coefficients f_3 = alpha,
+        # f_4 = 1, f_5 = alpha are signed as the derivatives 6 alpha, 24,
+        # 120 alpha: det = 720 alpha^2 - 576, zero at alpha^2 = 4/5
+        tab = synthetic_table([0, 0, 0, [0, 1], 1, [0, 1]])
+        assert det_sign_at(tab, 1, 2, Fraction(1)) == 1
+        assert det_sign_at(tab, 1, 2, Fraction(8, 9)) == -1
 
     def test_equal_rows_give_zero(self):
-        # f_3 = f_4 = f_5 makes both rows of the 2x2 equal
-        tab = synthetic_table([0, 0, 0, [1, 2], [1, 2], [1, 2]])
+        # F_3 = F_4 = F_5 makes both rows of the 2x2 equal
+        tab = moment_table([0, 0, 0, [1, 2], [1, 2], [1, 2]])
         assert det_sign_at(tab, d=1, D=2, alpha=Fraction(7, 13)) == 0
 
     def test_bareiss_equals_cofactor_up_to_4x4(self, paper_params):
@@ -168,7 +191,9 @@ def test_sign_path_builds_no_rational_entries(paper_params):
     # the exact sign test reads the integer form only
     tab = taylor_table(paper_params, 19)
     det_sign_at(tab, -1, 10, Fraction(42, 10))
-    find_root(tab, HankelConfig(), 10, 4.2041, 0.01, 17)
+    # at D = 10 the roots near alpha are a pair about 5e-8 apart, which
+    # a 17-point grid brackets only over a window this narrow
+    find_root(tab, HankelConfig(), 10, 4.2041134, 1e-7, 17)
     assert "entries" not in vars(tab)
 
 
@@ -188,7 +213,7 @@ class TestCondensation:
             return _bareiss_sign(A)
 
         monkeypatch.setattr(hankel, "_bareiss_sign", spy)
-        tab = synthetic_table([0, 0, 0, 1, 1, 0, 1, 1])
+        tab = moment_table([0, 0, 0, 1, 1, 0, 1, 1])
         alpha = Fraction(5, 7)
         rows = [[p(alpha) for p in row] for row in hankel_entries(tab, 1, 3)]
         want = cofactor_det(rows)
@@ -207,6 +232,13 @@ class TestCondensation:
                 rows = [[p(alpha) for p in row]
                         for row in hankel_entries(tab, d, D)]
                 assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
+
+
+def entry_values(tab, d, D, alpha):
+    """F_{d+2}(alpha) .. F_{2D+d}(alpha), each k! f_k from the Taylor
+    entries."""
+    return [math.factorial(k) * tab.entries[k](alpha)
+            for k in range(d + 2, 2 * D + d + 1)]
 
 
 def _assert_positive_geometric_scaling(c, f):
@@ -253,15 +285,13 @@ class TestRescaledSequence:
         assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
         c = hankel._hankel_sequence(tab, d, D, alpha)
         assert all(int(x) == x for x in c)
-        _assert_positive_geometric_scaling(
-            c, [tab.entries[t + d + 2](alpha) for t in range(2 * D - 1)])
+        _assert_positive_geometric_scaling(c, entry_values(tab, d, D, alpha))
 
     def test_paper_table_scaling_exact(self, paper_params):
         tab = taylor_table(paper_params, 40)
         for alpha in (Fraction(70533023, 2 ** 24), Fraction(4204113, 10 ** 6)):
             c = hankel._hankel_sequence(tab, -1, 20, alpha)
-            _assert_positive_geometric_scaling(
-                c, [tab.entries[t + 1](alpha) for t in range(39)])
+            _assert_positive_geometric_scaling(c, entry_values(tab, -1, 20, alpha))
 
     # q's odd primes on both sides of 2D+d <= 25: the paper case (q = 5),
     # s = 4/3, m = 2/37 (q = 185) and s = 1/101
@@ -287,7 +317,7 @@ class TestRescaledSequence:
                 A, s = hankel._best_line(
                     ts, [hankel._valuation(c[t], p) for t in ts])
                 assert len(ts) * A + s * sum(ts) <= 0, (d, D, alpha, p)
-            f = [tab.entries[t + d + 2](alpha) for t in range(2 * D - 1)]
+            f = entry_values(tab, d, D, alpha)
             _assert_positive_geometric_scaling(c, f)
             rows = [f[i:i + D] for i in range(D)]
             assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
@@ -356,29 +386,56 @@ def record_windows(monkeypatch, miss_at=()):
 
 
 # the (D, half-width, scan points) of every find_root call in the paper
-# sequence at D_max 30, recorded while both still lived in HankelConfig
-# (bracket_halfwidth, scan_points): |seed|/2 at 129 points until the
-# second root, then 32 times the last step, in [1e-4, |seed|/2], at 17
+# sequence at D_max 30: |seed|/2 at 129 points until the second root,
+# then 32 times the last step, in [1e-4, |seed|/2], at 17
 PAPER_WINDOWS = [
     (2, 2.04455231422596, 129), (3, 2.04455231422596, 129),
-    (4, 2.04455231422596, 17), (5, 2.04455231422596, 17),
-    (6, 2.04455231422596, 17), (7, 2.04455231422596, 17),
-    (8, 0.5926750116050243, 17), (9, 0.15170654840767384, 17),
-    (10, 0.007662715390324593, 17), (11, 0.007662715390324593, 17),
-    (12, 0.05605767294764519, 17), (13, 0.22126110643148422, 17),
-    (14, 0.0031951963901519775, 17), (15, 0.00017784349620342255, 17),
-    (16, 0.0012306049466133118, 17), (17, 0.00012297742068767548, 17),
-    (18, 0.0001, 17)]
+    (4, 2.04455231422596, 17), (5, 0.06430217623710632, 17),
+    (6, 0.0014300327748060226, 17), (7, 0.0001, 17), (8, 0.0001, 17)]
+
+# the paper sequence's roots at d = -1 (the default offset), D_max 30
+PAPER_ROOTS = [
+    (2, 4.297999199334299), (3, 4.206168529664865),
+    (4, 4.204159086657455), (5, 4.2041143981332425),
+    (6, 4.204113420128124), (7, 4.204113399056951),
+    (8, 4.204113398591289)]
+
+
+def taylor_matrix_sign(tab, d, D, alpha):
+    """Exact sign of the paper's Hankel determinant |f_{i+j+d}|,
+    i,j = 1..D, on the Taylor coefficients, by Bareiss elimination."""
+    rows = [[tab.entries[i + j + d](alpha) for j in range(1, D + 1)]
+            for i in range(1, D + 1)]
+    return _bareiss_sign(_int_matrix(rows))
+
+
+class TestExactOracle:
+    # at M = 1, m = 1 the exact solution is f' = -exp(-s eta), so
+    # alpha = s and the derivatives F_k = -(-s)^(k-1), k >= 1, are
+    # geometric: at alpha = s every Hankel matrix of size >= 2 has rank 1,
+    # while the Taylor coefficients f_k = F_k / k! of the paper's matrix
+    # are not geometric and their determinants are not 0
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
+           d=st.integers(-1, 1), D=st.integers(2, 8))
+    @example(s=Fraction(3, 2), d=-1, D=8)
+    @example(s=Fraction(9, 5), d=0, D=8)
+    @example(s=Fraction(1, 101), d=1, D=8)
+    @example(s=Fraction(7, 3), d=-1, D=8)
+    def test_derivative_determinants_vanish_at_the_exact_alpha(self, s, d, D):
+        tab = taylor_table(ModelParams(M=1, m=1, s=s), 2 * D + d)
+        assert det_sign_at(tab, d, D, s) == 0
+        assert taylor_matrix_sign(tab, d, D, s) != 0
 
 
 class TestFindRoot:
     def test_synthetic_rank_deficiency_root(self):
-        # f_j(alpha) = 2^-j + (alpha - c) * j / 3^j: at alpha = c the
+        # F_j(alpha) = 2^-j + (alpha - c) * j / 3^j: at alpha = c the
         # sequence is geometric, so every Hankel determinant vanishes
         c = Fraction(3)
-        entries = [[Fraction(1, 2 ** j) - c * Fraction(j, 3 ** j),
+        moments = [[Fraction(1, 2 ** j) - c * Fraction(j, 3 ** j),
                     Fraction(j, 3 ** j)] for j in range(10)]
-        tab = synthetic_table(entries)
+        tab = moment_table(moments)
         cfg = HankelConfig(tol=1e-10)
         for D in (2, 3):
             root = find_root(tab, cfg, D, 2.8, 0.5, 129)
@@ -436,7 +493,7 @@ class TestFindRoot:
     def test_signs_no_point_twice(self, paper_params, monkeypatch):
         # the scan's sign at the bracket's left end carries into the
         # bisection instead of being evaluated again
-        tab = taylor_table(paper_params, 2 * 8 - 1)
+        tab = taylor_table(paper_params, 2 * 6 - 1)
         points = []
         real = hankel.det_sign_at
 
@@ -445,27 +502,26 @@ class TestFindRoot:
             return real(table, d, D, alpha)
 
         monkeypatch.setattr(hankel, "det_sign_at", counted)
-        root = find_root(tab, HankelConfig(), 8, 4.2, 0.02, 17)
-        assert root == pytest.approx(4.1952797646, abs=1e-9)
+        root = find_root(tab, HankelConfig(), 6, 4.2, 0.02, 17)
+        assert root == pytest.approx(4.2041134201, abs=1e-9)
         assert len(points) == len(set(points))
 
     def test_frozen_sign_points(self, paper_params, monkeypatch):
         # the setup above; every alpha signed: the grid point i / 512
         # nearest 4.2, then the points of the candidates nearer 4.2 than
-        # the first bracket, [2147/512, 2148/512], then the bisection of
-        # that cell down to tol (recorded when the scan stopped signing the
-        # whole grid; the bisection's 25 points are those of the full scan)
-        tab = taylor_table(paper_params, 2 * 8 - 1)
+        # the first bracket, [2152/512, 2153/512], then the bisection of
+        # that cell down to tol
+        tab = taylor_table(paper_params, 2 * 6 - 1)
         points = record_sign_points(monkeypatch)
-        find_root(tab, HankelConfig(), 8, 4.2, 0.02, 17)
+        find_root(tab, HankelConfig(), 6, 4.2, 0.02, 17)
         assert points == (
-            [Fraction(i, 512) for i in (2150, 2151, 2149, 2152, 2148, 2153, 2147)]
+            [Fraction(i, 512) for i in (2150, 2151, 2149, 2152, 2148, 2153)]
             + [Fraction(k, 2 ** e) for e, k in enumerate([
-                4295, 8591, 17183, 34367, 68735, 137471, 274941, 549883,
-                1099767, 2199535, 4399069, 8798139, 17596279, 35192557,
-                70385115, 140770229, 281540459, 563080919, 1126161837,
-                2252323673, 4504647347, 9009294693, 18018589387,
-                36037178773, 72074357547], start=10)])
+                4305, 8611, 17221, 34441, 68881, 137761, 275521, 551041,
+                1102083, 2204167, 4408333, 8816665, 17633329, 35266659,
+                70533319, 141066637, 282133275, 564266551, 1128533103,
+                2257066207, 4514132413, 9028264825, 18056529649,
+                36113059297, 72226118593], start=10)])
 
 
 def full_scan_find_root(table, cfg, D, guess, w, n):
@@ -589,14 +645,13 @@ class TestScanStopsEarly:
 
 class TestAlphaSequence:
     def test_paper_case_moderate_depth(self, paper_params):
-        # frozen regression of the bring-up run, whose matrix starts at
-        # f_3 (d=1): by D <= 20 the sequence is within 3e-5 of the
-        # converged value
+        # the matrix starting at F_3 (d=1): by D <= 20 the sequence is
+        # within 3e-5 of the converged value (it settles at D = 9)
         cfg = HankelConfig(D_max=20, d=1)
         seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.alpha_star == pytest.approx(4.20411340, abs=3e-5)
-        assert [D for D, _ in seq.roots][0] == 5
-        assert set(seq.skipped) >= {2, 3, 4}
+        assert [D for D, _ in seq.roots][0] == 3
+        assert seq.skipped == [2]
 
     def test_d2_agrees_with_d1(self, paper_params):
         cfg = HankelConfig(D_max=22, d=2)
@@ -619,25 +674,32 @@ class TestAlphaSequence:
         assert exc.value.D is not None
 
     def test_default_offset_paper_sequence_is_frozen(self, paper_params):
-        # recorded at d=-1 (first entry f_1) with signs from condensation
-        # on the unrescaled integer sequence
+        # recorded at d=-1 (first entry F_1) with signs from condensation:
+        # the roots fall geometrically, with no D skipped
         cfg = HankelConfig(D_max=30)
         seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
-        assert seq.roots == [
-            (2, 3.0547236990823876), (3, 4.836427256843308),
-            (4, 4.093770250823582), (6, 4.2185416883730795),
-            (7, 4.2000205942604225), (8, 4.195279764622683),
-            (9, 4.19551922447863), (11, 4.197271026758244),
-            (12, 4.204185436334228), (13, 4.204085586447036),
-            (14, 4.2040800288377795), (15, 4.204118485242361),
-            (16, 4.204114642197965), (17, 4.204114846914308),
-            (18, 4.20411389079527)]
-        assert seq.skipped == [5, 10]
-        assert seq.alpha_star == 4.20411389079527
+        assert seq.roots == PAPER_ROOTS
+        assert seq.skipped == []
+        assert seq.converged and seq.alpha_star == 4.204113398591289
+
+    def test_paper_matrix_roots_against_the_default(self, paper_params):
+        # the paper's matrix |f_{i+j-1}| of Taylor coefficients, signed by
+        # Bareiss here: its sequence settled on its D = 18 root 4.2041138908
+        # (at D = 8 its root was 4.1952797646), which lies 4.9e-7 above
+        # the default's alpha; each root is pinned by a sign change across
+        # it +- 1e-9
+        tab = taylor_table(paper_params, 35)
+        for D, root in ((8, 4.195279764622683), (18, 4.20411389079527)):
+            lo, hi = Fraction(root - 1e-9), Fraction(root + 1e-9)
+            assert (taylor_matrix_sign(tab, -1, D, lo)
+                    * taylor_matrix_sign(tab, -1, D, hi)) == -1
+        default = PAPER_ROOTS[-1][1]
+        assert abs(4.20411389079527 - default) == pytest.approx(4.9e-7, abs=1e-8)
+        assert abs(4.195279764622683 - default) > 8e-3
 
     def test_table_grows_with_D(self, paper_params, monkeypatch):
-        # the paper sequence stops at D = 18, whose matrix reads f_1 ..
-        # f_35: no longer table is built, whatever D_max allows
+        # the paper sequence stops at D = 8, whose matrix reads F_1 ..
+        # F_15: no longer table is built, whatever D_max allows
         orders = []
         build = hankel.taylor_table
 
@@ -647,7 +709,7 @@ class TestAlphaSequence:
         monkeypatch.setattr(hankel, "taylor_table", spy)
         alpha_sequence(paper_params, HankelConfig(D_max=30),
                        solve_n1(paper_params).beta)
-        assert orders and max(orders) == 2 * 18 - 1
+        assert orders and max(orders) == 2 * 8 - 1
 
     def test_paper_windows_are_frozen(self, paper_params, monkeypatch):
         calls = record_windows(monkeypatch)
@@ -657,24 +719,40 @@ class TestAlphaSequence:
 
     def test_misses_widen_the_window_up_to_half_the_seed(self, paper_params,
                                                          monkeypatch):
-        # misses forced from D = 8 on, where the window has shrunk to w8:
-        # after two misses in a row it doubles, after four it would be
-        # 4 w8 but stops at |seed|/2
-        calls = record_windows(monkeypatch, miss_at={8, 9, 10, 11})
+        # misses forced at D = 6 .. 9, where the window has shrunk to w6:
+        # after two misses in a row it doubles, after four it is 4 w6.
+        # D = 10 then misses on its own, D = 11 finds a root 1.1e-4 off
+        # and the sequence still settles, 5.2e-10 from the unforced one
+        calls = record_windows(monkeypatch, miss_at={6, 7, 8, 9})
         seed = solve_n1(paper_params).beta
-        seq = alpha_sequence(paper_params, HankelConfig(D_max=12), seed)
-        w8, w0 = PAPER_WINDOWS[6][1], 0.5 * seed
-        assert 4 * w8 > w0
-        assert calls == PAPER_WINDOWS[:7] + [
-            (9, w8, 17), (10, 2 * w8, 17), (11, 2 * w8, 17), (12, w0, 17)]
-        assert seq.skipped == [5, 8, 9, 10, 11]
+        seq = alpha_sequence(paper_params, HankelConfig(D_max=30), seed)
+        w6 = PAPER_WINDOWS[4][1]
+        assert calls[:10] == PAPER_WINDOWS[:5] + [
+            (7, w6, 17), (8, 2 * w6, 17), (9, 2 * w6, 17),
+            (10, 4 * w6, 17), (11, 4 * w6, 17)]
+        assert seq.skipped == [6, 7, 8, 9, 10]
+        assert seq.converged and seq.roots[-1][0] == 15
+        assert seq.alpha_star == pytest.approx(PAPER_ROOTS[-1][1], abs=1e-9)
+
+    def test_misses_at_half_the_seed_keep_it(self, paper_params, monkeypatch):
+        # misses forced at D = 4 .. 7, where the window is still |seed|/2:
+        # it stays there through the two misses that follow, and the
+        # sequence settles at D = 15 as above
+        calls = record_windows(monkeypatch, miss_at={4, 5, 6, 7})
+        seed = solve_n1(paper_params).beta
+        seq = alpha_sequence(paper_params, HankelConfig(D_max=30), seed)
+        w0 = 0.5 * seed
+        assert calls[:10] == PAPER_WINDOWS[:3] + [
+            (D, w0, 17) for D in range(5, 12)]
+        assert seq.skipped == [4, 5, 6, 7, 8, 9]
+        assert seq.converged and seq.roots[-1][0] == 15
+        assert seq.alpha_star == pytest.approx(PAPER_ROOTS[-1][1], abs=1e-9)
 
     def test_default_offset_paper_signs_are_frozen(self, paper_params,
                                                    monkeypatch):
         # every (D, alpha, sign) that det_sign_at answers in the sequence
-        # above, recorded when find_root's scan stopped signing grid points
-        # that cannot decide the nearest bracket (1019 before): SHA-256 of
-        # the repr of the list of (D, numerator, denominator, sign)
+        # above: SHA-256 of the repr of the list of (D, numerator,
+        # denominator, sign)
         signs = []
         real = hankel.det_sign_at
 
@@ -686,39 +764,36 @@ class TestAlphaSequence:
         monkeypatch.setattr(hankel, "det_sign_at", recorded)
         alpha_sequence(paper_params, HankelConfig(D_max=30),
                        solve_n1(paper_params).beta)
-        assert len(signs) == 667
+        assert len(signs) == 205
         assert hashlib.sha256(repr(signs).encode()).hexdigest() == (
-            "ceec5a76fb77e597313c03b8f1ea6991fd27518ab22618ac617c1a7a70b1aa73")
+            "1b651d238ce2fec1e4e4039ceaad6d29672bac58887aa20b850097c6d1257346")
 
     def test_denominator_100_sequence_is_frozen(self):
         # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry
-        # powers of 5 as well as 2; recorded as above
+        # powers of 5 as well as 2; recorded as above. The exact alpha,
+        # sqrt(M^2 - 2/3) = 1.0244185343, lies 2.6e-8 below where the
+        # sequence settles
         params = ModelParams(M=1.31, m=0.0, s=1.29)
         cfg = HankelConfig(D_max=14)
         seq = alpha_sequence(params, cfg, solve_n1(params).beta)
         assert seq.roots == [
-            (2, 0.6909413868270349), (3, 1.0707040677953046),
-            (4, 1.020361842791317), (5, 1.024747945688432),
-            (7, 1.0426847645721864), (8, 0.6430757200287189),
-            (9, 1.0023759284231346), (10, 0.6715154775592964),
-            (11, 1.0244198262516875), (12, 1.038834360515466),
-            (13, 1.0244138091511559), (14, 1.0113338348164689)]
-        assert seq.skipped == [6]
-        assert seq.alpha_star == 1.024747945688432
+            (2, 0.8462269199371804), (3, 1.0453220337221865),
+            (4, 1.0224501638731454), (5, 1.0246173776395153),
+            (6, 1.0243979337101337), (7, 1.0244207172945607),
+            (8, 1.0244182988826651), (9, 1.024418560002232)]
+        assert seq.skipped == []
+        assert seq.converged and seq.alpha_star == 1.024418560002232
 
     def test_paper_case_sequence_is_frozen(self, paper_params):
         # recorded with signs from Bareiss elimination alone; any exact
         # sign test makes the same bracket decisions, so every float is
-        # reproduced bit for bit (recorded at d=1, first entry f_3)
+        # reproduced bit for bit (recorded at d=1, first entry F_3)
         cfg = HankelConfig(D_max=20, d=1)
         seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.roots == [
-            (5, 3.976010801474331), (6, 4.2801082977384795),
-            (7, 4.216553214617306), (8, 4.21745667301002),
-            (10, 4.205091516923858), (11, 4.203279435372679),
-            (12, 4.204630291758804), (13, 4.204245656757848),
-            (14, 4.203734395530773), (16, 4.20408824403421),
-            (17, 4.204013028851477), (18, 4.204112747946056),
-            (19, 4.204117260786006), (20, 4.2041146066912916)]
-        assert seq.skipped == [2, 3, 4, 9, 15]
-        assert seq.alpha_star == 4.2041146066912916
+            (3, 4.442083850939525), (4, 4.214275889593409),
+            (5, 4.204486139555229), (6, 4.204125383199425),
+            (7, 4.204113751853583), (8, 4.204113408370176),
+            (9, 4.204113398882328)]
+        assert seq.skipped == [2]
+        assert seq.converged and seq.alpha_star == 4.204113398882328
