@@ -367,12 +367,13 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     real roots too close for the scan grid to split; such D are recorded
     in `skipped` and the guess is kept. The search window is
     seed +- |seed|/2 at 129 scan points until two roots are known; from
-    then on it is 32 times the last step between roots, at least 1e-4 and
-    at most |seed|/2, at 17 points, which both keeps the exact arithmetic
-    affordable at large D and excludes spurious far-away roots from
-    derailing the continuation. After k >= 2 misses in a row the window
-    is widened 2^(k//2)-fold, again at most |seed|/2. Stops early when
-    three consecutive steps fall below SEQ_TOL.
+    then on it is 32 times the last step between roots, at most |seed|/2
+    and at least 1e-4 or 16 float spacings of the guess (consecutive roots
+    can be the same float at huge |alpha|), at 17 points, which both keeps
+    the exact arithmetic affordable at large D and excludes spurious
+    far-away roots from derailing the continuation. After k >= 2 misses
+    in a row the window is widened 2^(k//2)-fold, again at most |seed|/2.
+    Stops early when three consecutive steps fall below SEQ_TOL.
 
     The Taylor table grows with D, to order 2D + d before the search at
     D, so a sequence that stops early builds no row it never reads.
@@ -385,7 +386,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     guess, w0 = seed, 0.5 * abs(seed)
     w, n, misses = w0, 129, 0
     for D in range(2, cfg.D_max + 1):
-        # the matrix at D reads f_{d+2} .. f_{2D+d}
+        # the matrix at D reads F_{d+2} .. F_{2D+d}
         table = taylor_table(params, 2 * D + cfg.d, table)
         # persistent misses suggest the window went too tight: widen it
         # 2^(misses // 2)-fold (w <= w0, so 1-fold is w itself)
@@ -409,7 +410,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
 
         # shrink the next window to the observed step size
         if deltas:
-            w, n = min(w0, max(32 * deltas[-1], 1e-4)), 17
+            w, n = min(w0, max(32 * deltas[-1], 1e-4, 16 * math.ulp(guess))), 17
     if not seq.roots:
         raise NoSignChange(
             f"no Hankel root found near the seed for any D up to {cfg.D_max}",

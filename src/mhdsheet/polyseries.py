@@ -1,5 +1,5 @@
-"""Taylor coefficients of f about eta = 0 as exact polynomials in
-alpha = f''(0), plus Pade approximant construction over numeric series.
+"""Derivatives and Taylor coefficients of f at eta = 0 as exact polynomials
+in alpha = f''(0), plus Pade approximant construction over numeric series.
 
 The coefficient recurrence comes from substituting f = sum f_j eta^j into
 the ODE and matching powers of eta (Cauchy products for the two quadratic
@@ -14,16 +14,17 @@ arithmetic is exact; the Hankel sign tests downstream depend on that.
 
 The table is built over the integers. With q the lcm of the denominators
 of M^2, m and s (`TaylorTable.q`), write M^2 = A/q and m = B/q. Times j!,
-the recurrence is one for F_k = k! f_k with binomial weights, and
-G_k = q^(2k+1) F_k then obeys
+the recurrence is one for the derivatives F_k = k! f_k = f^(k)(0) with
+binomial weights, and G_k = q^(2k+1) F_k then obeys
 
     G_{j+3} = A q^3 G_{j+1}
         + sum_{k=0..j} C(j,k) (q G_{k+1} G_{j-k+1} - B G_k G_{j-k+2})
 
 from G_0 = q s, G_1 = -q^3, G_2 = q^5 alpha. Every G_k is a polynomial in
 alpha with integer coefficients, so no gcd is taken until the end, where
-the table keeps f_k = G_k / (q^(2k+1) k!) reduced once to lowest terms.
-Every table continues the recurrence from a shorter one's G_k.
+the table keeps F_k = G_k / q^(2k+1) reduced once to lowest terms: the
+form the Hankel sign test reads. Every table continues the recurrence
+from a shorter one's G_k.
 """
 
 from __future__ import annotations
@@ -63,21 +64,22 @@ class AlphaPolynomial:
 
 @dataclass(frozen=True)
 class TaylorTable:
-    """Taylor coefficients f_0 .. f_J of f about eta = 0, each an exact
-    polynomial in alpha. m2/m/s are the exact rational parameters (the
-    recurrence only sees M^2, so negative M is equivalent to |M|).
+    """The derivatives F_0 .. F_J of f at eta = 0, each an exact polynomial
+    in alpha. m2/m/s are the exact rational parameters (the recurrence only
+    sees M^2, so negative M is equivalent to |M|).
 
-    `cleared[k]` is (c, L) with f_k = sum c_i alpha^i / L in lowest terms:
-    L > 0, gcd(L, *c) == 1 and no trailing zero in c (f_k = 0 is ((), 1))."""
+    `moments[k]` is (c, L) with F_k = f^(k)(0) = sum c_i alpha^i / L in
+    lowest terms: L > 0, gcd(L, *c) == 1 and no trailing zero in c
+    (F_k = 0 is ((), 1))."""
 
     m2: Fraction
     m: Fraction
     s: Fraction
-    cleared: tuple[tuple[tuple[int, ...], int], ...]
+    moments: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def order(self) -> int:
-        return len(self.cleared) - 1
+        return len(self.moments) - 1
 
     @property
     def q(self) -> int:
@@ -86,49 +88,37 @@ class TaylorTable:
 
     @cached_property
     def entries(self) -> tuple[AlphaPolynomial, ...]:
-        """The entries as rational polynomials, derived on first use."""
-        return tuple(AlphaPolynomial(tuple(Fraction(c, L) for c in cs))
-                     for cs, L in self.cleared)
-
-    @cached_property
-    def moments(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The derivatives F_k = f^(k)(0) = k! f_k in `cleared`'s layout,
-        (c, L) in lowest terms, derived on first use: k! / L_k is reduced
-        by gcd(k!, L_k), and no prime of L_k / gcd can divide the c."""
-        out, fact = [], 1
-        for k, (cs, L) in enumerate(self.cleared):
-            fact *= k or 1
-            r = math.gcd(fact, L)
-            out.append((tuple(c * (fact // r) for c in cs), L // r))
-        return tuple(out)
+        """The Taylor coefficients f_k = F_k / k! as rational polynomials,
+        derived on first use."""
+        return tuple(AlphaPolynomial(tuple(Fraction(c, L * math.factorial(k))
+                                           for c in cs))
+                     for k, (cs, L) in enumerate(self.moments))
 
 
 def taylor_table(params: ModelParams, order: int,
                  table: Optional[TaylorTable] = None) -> TaylorTable:
-    """Build f_0 .. f_order by the exact recurrence. Requires order >= 3.
+    """Build F_0 .. F_order by the exact recurrence. Requires order >= 3.
 
     The recurrence continues from the entries of `table` (of the same exact
-    parameters, else ValueError), or of the seed table f_0 .. f_2, each
-    G_k = c_k q^(2k+1) k! / L_k taken back from `cleared`, so a table can
+    parameters, else ValueError), or of the seed table F_0 .. F_2, each
+    G_k = c_k q^(2k+1) / L_k taken back from `moments`, so a table can
     grow one order at a time as its reader needs; the result equals the
     one-shot build."""
     if order < 3:
         raise ValueError(f"order must be >= 3, got {order}")
     M, m, s = params.exact
     m2 = M ** 2
-    table = table or TaylorTable(m2=m2, m=m, s=s, cleared=(
-        ((s.numerator,) if s else (), s.denominator), ((-1,), 1), ((0, 1), 2)))
+    table = table or TaylorTable(m2=m2, m=m, s=s, moments=(
+        ((s.numerator,) if s else (), s.denominator), ((-1,), 1), ((0, 1), 1)))
     if (table.m2, table.m, table.s) != (m2, m, s):
         raise ValueError("table was built for other parameters")
 
     q = table.q
     a_q3 = m2.numerator * (q // m2.denominator) * q ** 3
     b = m.numerator * (q // m.denominator)
-    dens = [q]   # q^(2k+1) k!
-    for k in range(1, order + 1):
-        dens.append(dens[-1] * q * q * k)
-    cleared = list(table.cleared[:order + 1])
-    G = [[x * (den // L) for x in c] for (c, L), den in zip(cleared, dens)]
+    dens = [q ** (2 * k + 1) for k in range(order + 1)]
+    moments = list(table.moments[:order + 1])
+    G = [[x * (den // L) for x in c] for (c, L), den in zip(moments, dens)]
     for j in range(len(G) - 3, order - 2):
         acc = [0] * (2 * max(map(len, G)) - 1)
         _add_product(acc, G[j + 1], [a_q3])
@@ -140,10 +130,10 @@ def taylor_table(params: ModelParams, order: int,
             acc.pop()
         G.append(acc)
 
-    for g, den in zip(G[len(cleared):], dens[len(cleared):]):
+    for g, den in zip(G[len(moments):], dens[len(moments):]):
         r = math.gcd(den, *g)
-        cleared.append((tuple(x // r for x in g), den // r))
-    return TaylorTable(m2=m2, m=m, s=s, cleared=tuple(cleared))
+        moments.append((tuple(x // r for x in g), den // r))
+    return TaylorTable(m2=m2, m=m, s=s, moments=tuple(moments))
 
 
 def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:

@@ -211,6 +211,23 @@ class TestSolve:
         assert doc["alpha_hankel"]["value"] == 4.20411339861
         assert doc["alpha_hankel"]["d_reached"] == 8
 
+    @pytest.mark.parametrize("argv", [
+        ["--M", "1e100", "--m", "2", "--s", "1.8"],
+        ["--M", "1e50", "--m", "2", "--s", "1.8"],
+        ["--M", "1e15", "--m", "0.5", "--s", "2"],
+    ], ids=["M=1e100", "M=1e50", "M=1e15"])
+    def test_huge_M_gets_an_answer(self, argv, capsys):
+        # consecutive roots here can be the same float; with the window
+        # floored at the absolute 1e-4, below one float spacing, the later
+        # D missed: M=1e50 ran past 20 s and M=1e15 ended unconverged at
+        # D = 24
+        with deadline(10):
+            code = main(["solve", *argv])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alpha_hankel"]["converged"] is True
+        assert doc["alpha_hankel"]["value"] == doc["alpha_shooting"]
+
     def test_shooting_failure_is_a_warning(self, solve_json, monkeypatch,
                                            capsys):
         # a failed shooting check leaves alpha_shooting null and is named

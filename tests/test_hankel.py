@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhdsheet import (HankelConfig, ModelParams, NoSignChange, alpha_sequence,
-                      det_sign_at, find_root, hankel_entries, solve_n1,
-                      taylor_table)
+                      det_sign_at, find_root, hankel_entries, shoot_refine,
+                      solve_n1, taylor_table)
 from mhdsheet import hankel
 from mhdsheet._bisection import bisect_sign
 from mhdsheet.hankel import (MultipleRootsWarning, _bareiss_sign,
@@ -22,21 +22,20 @@ from conftest import clear_by_lcm, deadline
 
 
 def synthetic_table(entries, s=Fraction(0)):
-    """A table of the given entries, each a constant or a coefficient list;
-    its q is the denominator of s."""
-    cleared = [clear_by_lcm(c if isinstance(c, (list, tuple)) else [c])
-               for c in entries]
-    return TaylorTable(m2=Fraction(0), m=Fraction(0), s=s,
-                       cleared=tuple(cleared))
+    """A table of the given Taylor entries f_k, each a constant or a
+    coefficient list; its q is the denominator of s."""
+    return moment_table(
+        [[Fraction(x) * math.factorial(k)
+          for x in (c if isinstance(c, (list, tuple)) else [c])]
+         for k, c in enumerate(entries)], s)
 
 
 def moment_table(moments, s=Fraction(0)):
     """A synthetic table whose derivatives F_k = k! f_k, the entries of
     the Hankel matrix, are the given constants or coefficient lists."""
-    return synthetic_table(
-        [[Fraction(x) / math.factorial(k)
-          for x in (c if isinstance(c, (list, tuple)) else [c])]
-         for k, c in enumerate(moments)], s)
+    return TaylorTable(m2=Fraction(0), m=Fraction(0), s=s, moments=tuple(
+        clear_by_lcm(c if isinstance(c, (list, tuple)) else [c])
+        for c in moments))
 
 
 def derivative(tab, k):
@@ -321,6 +320,25 @@ class TestRescaledSequence:
             _assert_positive_geometric_scaling(c, f)
             rows = [f[i:i + D] for i in range(D)]
             assert det_sign_at(tab, d, D, alpha) == _bareiss_sign(_int_matrix(rows))
+
+    def test_condensed_integers_are_frozen(self):
+        # the integers condensation sees, not only their signs: SHA-256 of
+        # the repr of the list of `_hankel_sequence` outputs over four
+        # tables, d = -1, 0, 1, D = 2 .. 12 and three alphas, so any later
+        # growth in them shows
+        seqs = []
+        for params in (ModelParams(M=2.0, m=2.0, s=1.8),
+                       ModelParams(M=2, m=2, s=Fraction(1, 101)),
+                       ModelParams(M=2, m=Fraction(2, 37), s=1.8),
+                       ModelParams(M=1.51, m=1, s=1.69)):
+            tab = taylor_table(params, 25)
+            for d, D, alpha in itertools.product(
+                    (-1, 0, 1), range(2, 13),
+                    (Fraction(70533023, 2 ** 24), Fraction(-7, 4),
+                     Fraction(4204113, 10 ** 6))):
+                seqs.append(hankel._hankel_sequence(tab, d, D, alpha))
+        assert hashlib.sha256(repr(seqs).encode()).hexdigest() == (
+            "455b36e2cfbe371109163451a9bdbe9098f1ddab4b1d36cd55954b147766a24c")
 
     @pytest.mark.parametrize("q", [2 ** 61 - 1, 10 ** 18 + 9,
                                    (2 ** 31 - 1) * (2 ** 61 - 1)],
@@ -747,6 +765,37 @@ class TestAlphaSequence:
         assert seq.skipped == [4, 5, 6, 7, 8, 9]
         assert seq.converged and seq.roots[-1][0] == 15
         assert seq.alpha_star == pytest.approx(PAPER_ROOTS[-1][1], abs=1e-9)
+
+    def test_windows_at_huge_M_stay_above_float_resolution(self, monkeypatch):
+        # at M = 1e100 the roots at D = 2 and 3 are the same float, so 32
+        # times the last step is 0; an absolute 1e-4 floor is ~1e-88 of
+        # one float spacing there, and every later D missed
+        calls = record_windows(monkeypatch)
+        params = ModelParams(1e100, 2, 1.8)
+        seed = solve_n1(params).beta
+        with deadline(10):
+            seq = alpha_sequence(params, HankelConfig(), seed)
+        assert seq.converged
+        for D, w, _ in calls:
+            guess = ([r for d, r in seq.roots if d < D] or [seed])[-1]
+            assert w >= 16 * math.ulp(guess), (D, w)
+
+    def test_unsettled_sequence_reports_the_best_agreeing_root(self):
+        # roots at D = 2, 3 and 7, none at D = 4 .. 6: D = 2 and 3 agree
+        # best, and their root lies 8.9e-8 from the shot value where the
+        # last root lies 5.1e-2 off
+        params = ModelParams(20.48, 0.69, 1.02)
+        seq = alpha_sequence(params, HankelConfig(D_max=7),
+                             solve_n1(params).beta)
+        assert seq.roots == [(2, 20.810498036298668), (3, 20.81305183839868),
+                             (7, 20.76207359545515)]
+        assert seq.skipped == [4, 5, 6] and not seq.converged
+        assert seq.alpha_star == 20.81305183839868
+        # the bracket `solve` shoots in: alpha_star +- 5%
+        w = 0.05 * seq.alpha_star
+        shot = shoot_refine(params, (seq.alpha_star - w, seq.alpha_star + w))
+        assert abs(seq.alpha_star - shot) == pytest.approx(8.9e-8, abs=1e-9)
+        assert abs(seq.roots[-1][1] - shot) == pytest.approx(5.1e-2, abs=1e-3)
 
     def test_default_offset_paper_signs_are_frozen(self, paper_params,
                                                    monkeypatch):

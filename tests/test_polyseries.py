@@ -107,12 +107,13 @@ def test_integer_recurrence_equals_fraction_recurrence(M, m, s):
 ])
 def test_cleared_form_is_lowest_terms(M, m, s):
     tab = taylor_table(ModelParams(M, m, s), 24)
-    for ints, L in tab.cleared:
+    for ints, L in tab.moments:
         assert L > 0
         assert math.gcd(L, *ints) == 1
         assert not ints or ints[-1] != 0
-    assert tab.cleared == tuple(clear_by_lcm(p.coeffs)
-                                for p in fraction_recurrence(M, m, s, 24))
+    assert tab.moments == tuple(
+        clear_by_lcm([math.factorial(k) * c for c in p.coeffs])
+        for k, p in enumerate(fraction_recurrence(M, m, s, 24)))
 
 
 @pytest.mark.parametrize("M, m, s", RECURRENCE_CASES + [
@@ -125,7 +126,7 @@ def test_grown_table_equals_one_shot(M, m, s):
     for order in range(4, 41):
         tab = taylor_table(params, order, tab)
         assert tab.order == order
-    assert tab.cleared == taylor_table(params, 40).cleared
+    assert tab.moments == taylor_table(params, 40).moments
     # a shorter order reads the table's own prefix
     assert taylor_table(params, 7, tab) == taylor_table(params, 7)
 
@@ -144,9 +145,9 @@ def test_grown_table_of_other_parameters_rejected():
 def test_cleared_form_matches_entries():
     tab = taylor_table(ModelParams(Fraction(1, 3), Fraction(37, 100),
                                    Fraction(231, 100)), 12)
-    for p, (ints, L) in zip(tab.entries, tab.cleared):
+    for k, (p, (ints, L)) in enumerate(zip(tab.entries, tab.moments)):
         assert L > 0
-        assert tuple(Fraction(c, L) for c in ints) == p.coeffs
+        assert tuple(Fraction(c, L * math.factorial(k)) for c in ints) == p.coeffs
 
 
 class TestEvaluateTable:
