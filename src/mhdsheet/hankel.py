@@ -57,8 +57,11 @@ from .polyseries import AlphaPolynomial, TaylorTable, taylor_table
 
 
 # the sequence settles when 3 consecutive |alpha_D - alpha_prev| fall
-# below this; the exact-crossing scatter is ~1e-6, so the bisection tol is
-# not a usable yardstick here
+# below this absolute bound. The steps shrink geometrically in D (paper
+# case: 1e-6, 2e-8, 5e-10 at D = 6 .. 8), but where they shrink slowly
+# the sequence can stop about the bound itself from the answer (3e-5 at
+# M = 199.5). The bisection tol bounds one root, not the sequence's
+# error, so it is no yardstick here
 SEQ_TOL = 3e-5
 
 
@@ -87,8 +90,8 @@ class HankelConfig:
             raise ValueError("d must be >= -1 (the first entry is F_{d+2}, at lowest F_1)")
         if self.D_max < 2:
             raise ValueError("D_max must be >= 2")
-        if not self.tol > 0:  # nan included
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # nan included
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -365,15 +368,15 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     start). At some dimensions the determinant has no real root near the
     physical value (the root pair moves off the real axis), or a pair of
     real roots too close for the scan grid to split; such D are recorded
-    in `skipped` and the guess is kept. The search window is
-    seed +- |seed|/2 at 129 scan points until two roots are known; from
-    then on it is 32 times the last step between roots, at most |seed|/2
-    and at least 1e-4 or 16 float spacings of the guess (consecutive roots
-    can be the same float at huge |alpha|), at 17 points, which both keeps
-    the exact arithmetic affordable at large D and excludes spurious
-    far-away roots from derailing the continuation. After k >= 2 misses
-    in a row the window is widened 2^(k//2)-fold, again at most |seed|/2.
-    Stops early when three consecutive steps fall below SEQ_TOL.
+    in `skipped` and the guess is kept. Every D is searched by `find_root`
+    on a 17-point scan. The window is seed +- |seed|/2 until two roots are
+    known; from then on it is 32 times the last step between roots, at
+    least 1e-4 or 16 float spacings of the guess (consecutive roots can be
+    the same float at huge |alpha|), which both keeps the exact arithmetic
+    affordable at large D and excludes spurious far-away roots from
+    derailing the continuation. After k >= 2 misses in a row the window is
+    widened 2^(k//2)-fold. No window is wider than |seed|/2. Stops early
+    when three consecutive steps fall below SEQ_TOL.
 
     The Taylor table grows with D, to order 2D + d before the search at
     D, so a sequence that stops early builds no row it never reads.
@@ -384,15 +387,15 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     seq = RootSequence()
     deltas = []
     guess, w0 = seed, 0.5 * abs(seed)
-    w, n, misses = w0, 129, 0
+    w, misses = w0, 0
     for D in range(2, cfg.D_max + 1):
         # the matrix at D reads F_{d+2} .. F_{2D+d}
         table = taylor_table(params, 2 * D + cfg.d, table)
         # persistent misses suggest the window went too tight: widen it
-        # 2^(misses // 2)-fold (w <= w0, so 1-fold is w itself)
+        # 2^(misses // 2)-fold
         try:
             root = find_root(table, cfg, D, guess,
-                             min(w0, 2 ** (misses // 2) * w), n)
+                             min(w0, 2 ** (misses // 2) * w), 17)
         except NoSignChange:
             seq.skipped.append(D)
             misses += 1
@@ -410,7 +413,7 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
 
         # shrink the next window to the observed step size
         if deltas:
-            w, n = min(w0, max(32 * deltas[-1], 1e-4, 16 * math.ulp(guess))), 17
+            w = max(32 * deltas[-1], 1e-4, 16 * math.ulp(guess))
     if not seq.roots:
         raise NoSignChange(
             f"no Hankel root found near the seed for any D up to {cfg.D_max}",

@@ -104,6 +104,44 @@ PRIME_DENOMINATOR_SOLVE_STDOUT = (
 )
 
 
+# the six two-point scans of the bench's scan-sweep panel, at Dmax 14
+SCAN_PANEL_ARGV = (
+    ["scan", "--M", "1.51", "--m", "1", "--s", "1.09", "--sweep", "s",
+     "--start", "1.09", "--stop", "1.69", "--count", "2", "--Dmax", "14"],
+    ["scan", "--M", "1.31", "--m", "0", "--s", "1.29", "--sweep", "M",
+     "--start", "1.31", "--stop", "1.91", "--count", "2", "--Dmax", "14"],
+    ["scan", "--M", "1.63", "--m", "0", "--s", "1.87", "--sweep", "m",
+     "--start", "0", "--stop", "1", "--count", "2", "--Dmax", "14"],
+    ["scan", "--M", "2.49", "--m", "1", "--s", "1.71", "--sweep", "s",
+     "--start", "1.71", "--stop", "2.31", "--count", "2", "--Dmax", "14"],
+    ["scan", "--M", "2.09", "--m", "0", "--s", "2.21", "--sweep", "M",
+     "--start", "2.09", "--stop", "2.69", "--count", "2", "--Dmax", "14"],
+    ["scan", "--M", "2.71", "--m", "0", "--s", "1.23", "--sweep", "m",
+     "--start", "0", "--stop", "1", "--count", "2", "--Dmax", "14"],
+)
+
+# the stdout of the SCAN_PANEL_ARGV scans in order, recorded byte for byte
+SCAN_PANEL_STDOUT = (
+    'sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,monotone,status\n'
+    's,1.09,1.80083637472,1.80083637469,1.80083637469,true,ok\n'
+    's,1.69,2.25713490855,2.25713490857,2.25713490857,true,ok\n'
+    'sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,monotone,status\n'
+    'M,1.31,1.02441856,1.31,,true,RequiresNonzeroM\n'
+    'M,1.91,1.72668275362,1.91,,true,RequiresNonzeroM\n'
+    'sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,monotone,status\n'
+    'm,0,1.41075629261,1.63,,true,RequiresNonzeroM\n'
+    'm,1,2.52595097348,2.52595097347,2.52595097347,true,ok\n'
+    'sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,monotone,status\n'
+    's,1.71,3.29039011247,3.29039011249,3.29039011249,true,ok\n'
+    's,2.31,3.71119345902,3.71119345903,3.71119345903,true,ok\n'
+    'sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,monotone,status\n'
+    'M,2.09,1.9239109472,2.09,,true,RequiresNonzeroM\n'
+    'M,2.69,2.56309058252,2.69,,true,RequiresNonzeroM\n'
+    'sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,monotone,status\n'
+    'm,0,2.58407301255,2.71,,true,RequiresNonzeroM\n'
+    'm,1,3.20774468468,3.20774468469,3.20774468469,true,ok\n'
+)
+
 @pytest.fixture(scope="module")
 def solve_json(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "solve.json"
@@ -351,6 +389,14 @@ class TestScan:
             "s,1.66666666667,3.97359970395,3.8524795081,3.96679706672,true,ok",
             "s,2,4.55620494692,4.44948974278,4.55151672916,true,ok"]
 
+    def test_scan_panel_is_frozen(self, capsys):
+        with deadline(5):
+            codes = [main(argv) for argv in SCAN_PANEL_ARGV]
+        assert codes == [0] * 6
+        out, err = capsys.readouterr()
+        assert out == SCAN_PANEL_STDOUT
+        assert err == ""
+
     # the four known defects of the scan at Dmax 14 on the paper's Taylor
     # coefficients: Hankel alphas 1.6e-4 to 3.3e-4 off, and a false
     # monotone=false at M = 2.71
@@ -416,6 +462,7 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["solve", *PAPER, "--d", "-2"],
     ["solve", *PAPER, "--Dmax", "1"],
     ["solve", *PAPER, "--tol", "0"],
+    ["solve", *PAPER, "--tol", "inf"],
     ["profile", *PAPER, "--stride", "0"],
     ["profile", *PAPER, "--eta-max", "abc"],
     ["profile", *PAPER, "--alpha", "nan"],
@@ -427,7 +474,7 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["solve", "--M", "1e400", "--m", "2", "--s", "1.8"],
     ["solve", "--M", "two", "--m", "2", "--s", "1.8"],
     ["solve", "--M", "2", "--m", "2"],
-], ids=["d", "Dmax", "tol", "stride", "eta-max", "alpha", "d-before-seed",
+], ids=["d", "Dmax", "tol", "tol-inf", "stride", "eta-max", "alpha", "d-before-seed",
         "scan-d-before-seed", "M-1e400", "M-two", "missing-s"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     code = main(argv)

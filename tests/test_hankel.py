@@ -404,10 +404,10 @@ def record_windows(monkeypatch, miss_at=()):
 
 
 # the (D, half-width, scan points) of every find_root call in the paper
-# sequence at D_max 30: |seed|/2 at 129 points until the second root,
-# then 32 times the last step, in [1e-4, |seed|/2], at 17
+# sequence at D_max 30, all at 17 points: |seed|/2 until the second root,
+# then 32 times the last step, in [1e-4, |seed|/2]
 PAPER_WINDOWS = [
-    (2, 2.04455231422596, 129), (3, 2.04455231422596, 129),
+    (2, 2.04455231422596, 17), (3, 2.04455231422596, 17),
     (4, 2.04455231422596, 17), (5, 0.06430217623710632, 17),
     (6, 0.0014300327748060226, 17), (7, 0.0001, 17), (8, 0.0001, 17)]
 
@@ -766,6 +766,20 @@ class TestAlphaSequence:
         assert seq.converged and seq.roots[-1][0] == 15
         assert seq.alpha_star == pytest.approx(PAPER_ROOTS[-1][1], abs=1e-9)
 
+    def test_misses_widen_the_window_unforced(self):
+        # D = 6 .. 9 miss on their own: the window doubles at D = 8 and
+        # again at D = 10, which finds a root, and the sequence settles at
+        # D = 14, 4.5e-9 from the shot value. Without the widening it
+        # settled at D = 9, 3.5e-6 off
+        params = ModelParams(M=Fraction("12.07"), m=Fraction("-0.08943"),
+                             s=Fraction("-0.3325"))
+        with deadline(5):
+            seq = alpha_sequence(params, HankelConfig(), solve_n1(params).beta)
+        assert seq.converged
+        w = 0.05 * seq.alpha_star
+        shot = shoot_refine(params, (seq.alpha_star - w, seq.alpha_star + w))
+        assert abs(seq.alpha_star - shot) < 1e-7
+
     def test_windows_at_huge_M_stay_above_float_resolution(self, monkeypatch):
         # at M = 1e100 the roots at D = 2 and 3 are the same float, so 32
         # times the last step is 0; an absolute 1e-4 floor is ~1e-88 of
@@ -813,9 +827,9 @@ class TestAlphaSequence:
         monkeypatch.setattr(hankel, "det_sign_at", recorded)
         alpha_sequence(paper_params, HankelConfig(D_max=30),
                        solve_n1(paper_params).beta)
-        assert len(signs) == 205
+        assert len(signs) == 195
         assert hashlib.sha256(repr(signs).encode()).hexdigest() == (
-            "1b651d238ce2fec1e4e4039ceaad6d29672bac58887aa20b850097c6d1257346")
+            "d2e3320b87ce821d2f8954eb63624f258e555c75d68deb4a44fac9b3fdc9d926")
 
     def test_denominator_100_sequence_is_frozen(self):
         # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry
