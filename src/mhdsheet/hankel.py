@@ -56,12 +56,12 @@ from .model import ModelParams
 from .polyseries import AlphaPolynomial, TaylorTable, taylor_table
 
 
-# the sequence settles when 3 consecutive |alpha_D - alpha_prev| fall
+# the sequence stops when 3 consecutive |alpha_D - alpha_prev| fall
 # below this absolute bound. The steps shrink geometrically in D (paper
 # case: 1e-6, 2e-8, 5e-10 at D = 6 .. 8), but where they shrink slowly
-# the sequence can stop about the bound itself from the answer (3e-5 at
-# M = 199.5). The bisection tol bounds one root, not the sequence's
-# error, so it is no yardstick here
+# the last root can lie about the bound itself from the answer (3e-5 at
+# M = 199.5), so it sets when the loop stops, not which root is reported.
+# The bisection tol bounds one root, not the sequence's error
 SEQ_TOL = 3e-5
 
 
@@ -375,8 +375,13 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     the same float at huge |alpha|), which both keeps the exact arithmetic
     affordable at large D and excludes spurious far-away roots from
     derailing the continuation. After k >= 2 misses in a row the window is
-    widened 2^(k//2)-fold. No window is wider than |seed|/2. Stops early
-    when three consecutive steps fall below SEQ_TOL.
+    widened 2^(k//2)-fold. No window is wider than |seed|/2. Stops early,
+    as `converged`, when three consecutive steps fall below SEQ_TOL.
+
+    `alpha_star` is the later root of the best-agreeing consecutive pair,
+    settled or not (the only root if there is one): the roots can drift
+    after their best approach, by up to SEQ_TOL before the loop stops or
+    off to spurious roots at high D, so the last one is no better.
 
     The Taylor table grows with D, to order 2D + d before the search at
     D, so a sequence that stops early builds no row it never reads.
@@ -418,12 +423,6 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
         raise NoSignChange(
             f"no Hankel root found near the seed for any D up to {cfg.D_max}",
             D=cfg.D_max)
-    if seq.converged or not deltas:
-        seq.alpha_star = seq.roots[-1][1]
-    else:
-        # not settled: the root sequence can wander off again after its
-        # best approach (spurious roots at high D); report the estimate
-        # where consecutive roots agreed best
-        i = min(range(len(deltas)), key=deltas.__getitem__)
-        seq.alpha_star = seq.roots[i + 1][1]
+    i = min(range(len(deltas)), key=deltas.__getitem__, default=-1)
+    seq.alpha_star = seq.roots[i + 1][1]
     return seq

@@ -676,14 +676,21 @@ class TestAlphaSequence:
         seq = alpha_sequence(paper_params, cfg, solve_n1(paper_params).beta)
         assert seq.alpha_star == pytest.approx(4.20411340, abs=1e-4)
 
-    def test_m1_case_agrees_with_exact_solution(self):
-        # m=1 admits the exact solution f' = -exp(-beta eta) with
-        # beta = (s + sqrt(s^2 + 4M^2 - 4))/2; here (1 + sqrt(13))/2
-        params = ModelParams(2, 1, 1)
-        exact = (1 + 13 ** 0.5) / 2
-        cfg = HankelConfig(D_max=24)
-        seq = alpha_sequence(params, cfg, solve_n1(params).beta)
-        assert seq.alpha_star == pytest.approx(exact, abs=1e-4)
+    @pytest.mark.parametrize("M, m, s", [
+        ("2", "1", "1"), ("153/25", "1", "-27/50"), ("577/100", "1", "111/50"),
+        ("157/25", "0", "153/50"), ("783/100", "0", "-23/100")])
+    def test_exact_family_agrees_with_exact_solution(self, M, m, s):
+        # m = 1 admits the exact solution f' = -exp(-beta eta), so alpha is
+        # beta = (s + sqrt(s^2 + 4M^2 - 4))/2; at m = 0 the first integral
+        # of g = f' gives alpha = sqrt(M^2 - 2/3). The last four settle
+        # 1.5e-6 to 4.6e-6 off on their last root, and within 1.2e-12 on
+        # the best-agreeing one
+        params = ModelParams(M=Fraction(M), m=Fraction(m), s=Fraction(s))
+        exact = ((params.s + math.sqrt(params.s ** 2 + 4 * params.M2 - 4)) / 2
+                 if params.m == 1 else math.sqrt(params.M2 - 2 / 3))
+        seq = alpha_sequence(params, HankelConfig(), solve_n1(params).beta)
+        assert seq.converged
+        assert abs(seq.alpha_star - exact) <= 1e-9 * max(1.0, exact)
 
     def test_no_root_anywhere_raises(self):
         # seeded far from any determinant root: the window is 500 +- 250
@@ -794,10 +801,10 @@ class TestAlphaSequence:
             guess = ([r for d, r in seq.roots if d < D] or [seed])[-1]
             assert w >= 16 * math.ulp(guess), (D, w)
 
-    def test_unsettled_sequence_reports_the_best_agreeing_root(self):
-        # roots at D = 2, 3 and 7, none at D = 4 .. 6: D = 2 and 3 agree
-        # best, and their root lies 8.9e-8 from the shot value where the
-        # last root lies 5.1e-2 off
+    def test_settled_or_not_sequence_reports_the_best_agreeing_root(self):
+        # unsettled: roots at D = 2, 3 and 7, none at D = 4 .. 6: D = 2
+        # and 3 agree best, and their root lies 8.9e-8 from the shot value
+        # where the last root lies 5.1e-2 off
         params = ModelParams(20.48, 0.69, 1.02)
         seq = alpha_sequence(params, HankelConfig(D_max=7),
                              solve_n1(params).beta)
@@ -810,6 +817,20 @@ class TestAlphaSequence:
         shot = shoot_refine(params, (seq.alpha_star - w, seq.alpha_star + w))
         assert abs(seq.alpha_star - shot) == pytest.approx(8.9e-8, abs=1e-9)
         assert abs(seq.roots[-1][1] - shot) == pytest.approx(5.1e-2, abs=1e-3)
+        # settled at D = 9, after misses at D = 7 and 8: D = 5 and 6 agree
+        # best, and the D = 6 root lies 3.1e-9 from the shot value where
+        # the last root lies 2.2e-5 off
+        params = ModelParams(M=Fraction("11.78"), m=Fraction("-2.336"),
+                             s=Fraction("3.534"))
+        seq = alpha_sequence(params, HankelConfig(), solve_n1(params).beta)
+        assert [D for D, _ in seq.roots] == [2, 3, 4, 5, 6, 9]
+        assert seq.skipped == [7, 8] and seq.converged
+        assert seq.roots[-1][1] == 8.348072003718698
+        assert seq.alpha_star == seq.roots[4][1] == 8.348049867345253
+        w = 0.05 * seq.alpha_star
+        shot = shoot_refine(params, (seq.alpha_star - w, seq.alpha_star + w))
+        assert abs(seq.alpha_star - shot) < 1e-8
+        assert abs(seq.roots[-1][1] - shot) > 1e-5
 
     def test_default_offset_paper_signs_are_frozen(self, paper_params,
                                                    monkeypatch):
