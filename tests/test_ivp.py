@@ -244,6 +244,78 @@ class TestFrozenRK45:
         assert prof.tail_fp == some_rows[245][2]
 
 
+# _dopri's accepted steps with shooting's stop (f' leaving (-1.5, 0.5)),
+# from eta = 0 to 3 auto_eta_max, away from the paper case: ((M, m, s),
+# alpha, f calls, accepted steps, SHA-256 of repr(steps)), recorded bit for
+# bit. The M = 199.5 run stops at f' = +0.5, the others at f' = -1.5. The
+# M = 199.5 run rejects two steps and the m = 1 run one: their f calls
+# exceed 2 + 6 per accepted step. Plain literals, so that a script can read
+# them with ast.literal_eval without importing this file.
+STEP_LOG_RECORDS = (
+    ((199.5, -2.384, -1.214), 200.9526707, 3122, 518,
+     "e03c5bf8396a11e82d04be4cf71e3e28522fc1df748a8ba48c4fe25fb87d3daa"),
+    ((2.71, 0.0, 1.23), 2.584073009, 2594, 432,
+     "6d5efd1e7dc4de6b2e5b14a8840e1d1d1ac7cf2518fa9bba1b59babfbbcca480"),
+    ((1.51, 1.0, 1.69), 2.2, 1202, 199,
+     "6611e3f2a362749081b89d9b688f349e1b13faf7dc3b3125e6b66d77c44a2679"),
+    ((10.12, 0.3394, 3.267), 10.65143032, 3008, 501,
+     "d1ef2e5f2d4d88ec4f24a218702ddabccdd52ae16fee378744aaa05dbf82f09e"),
+)
+
+# profiles at the m = 0 and m = 1 points of STEP_LOG_RECORDS with the
+# default config: ((M, m, s), alpha, method, rows, rows_digest, extrema)
+ROW_DIGEST_RECORDS = (
+    ((2.71, 0.0, 1.23), 2.584073009, "rk45", 371,
+     "5f81227216731a6679e72b5d0799b464f409b4576d797cbf0fc95aafab7c73e2", []),
+    ((2.71, 0.0, 1.23), 2.584073009, "rk4", 371,
+     "7cecaebe07970cf9a1cdf0c81ab63d7bba677bc9b294b30adc66fedf604340d2", []),
+    ((1.51, 1.0, 1.69), 2.2, "rk45", 445,
+     "3e1b8a4c03f110dce57289531f9cc5fcbcbafdee956b8ff3b3e324be44f6c961",
+     [(1.599348464012146, -0.0913458402065046)]),
+    ((1.51, 1.0, 1.69), 2.2, "rk4", 445,
+     "9e8efc541d2ffaea714e9d398427abafae279d83f1adc8d937c202eb5ab6ad19",
+     [(1.599348464012146, -0.09134584020400162)]),
+)
+
+
+def step_log(point, alpha):
+    """(f calls, accepted steps, SHA-256 of repr(steps)) of _dopri from
+    alpha at (M, m, s) = point, with shooting's stop and horizon."""
+    params = ModelParams(*point)
+    deriv, calls, steps = ivp.rhs(params), [0], []
+
+    def f(eta, y):
+        calls[0] += 1
+        return deriv(eta, y)
+    ivp._dopri(f, (params.s, -1.0, alpha), 3 * auto_eta_max(params),
+               lambda y: (y[1] - 0.5) * (y[1] + 1.5), steps)
+    return calls[0], len(steps), hashlib.sha256(repr(steps).encode()).hexdigest()
+
+
+class TestFrozenOffPaper:
+    """Step logs and profiles away from the paper case, recorded bit for
+    bit: rejected steps, both stops and both integrators."""
+
+    @pytest.mark.parametrize("point,alpha,calls,accepted,digest",
+                             STEP_LOG_RECORDS)
+    def test_step_log(self, point, alpha, calls, accepted, digest):
+        assert step_log(point, alpha) == (calls, accepted, digest)
+
+    def test_a_run_rejects_a_step(self):
+        # one f call for k1, one in the initial step, six per attempt
+        assert any(calls > 2 + 6 * accepted
+                   for _, _, calls, accepted, _ in STEP_LOG_RECORDS)
+
+    @pytest.mark.parametrize("point,alpha,method,rows,digest,extrema",
+                             ROW_DIGEST_RECORDS)
+    def test_rows(self, point, alpha, method, rows, digest, extrema):
+        prof = integrate(ModelParams(*point), alpha,
+                         IntegratorConfig(method=method))
+        assert len(prof.rows) == rows
+        assert rows_digest(prof.rows) == digest
+        assert prof.extrema == extrema
+
+
 class TestExtrema:
     def test_synthetic_interior_maximum(self):
         # feed _refine_extrema a profile built from a known function:
@@ -562,6 +634,10 @@ DIVERGENCE_RECORDS = [
     (ModelParams(2, 1, 1), 2.4, (1, 119262496.7925838)),
 ]
 
+# derivative calls of ivp.rhs in _divergence_side at each of
+# DIVERGENCE_RECORDS: the stage count, pinned without scipy
+DIVERGENCE_STAGE_COUNTS = [1346, 2108, 1082, 674]
+
 
 class TestStopRecords:
     """Where both of the adaptive stepper's stops land, without scipy."""
@@ -571,6 +647,25 @@ class TestStopRecords:
         growth = ivp._tail_growth(params, solve_n1(params).beta)
         eta_max = 3 * auto_eta_max(params)
         assert ivp._divergence_side(params, alpha, eta_max, growth) == record
+
+    @pytest.mark.parametrize("case,stages",
+                             zip(DIVERGENCE_RECORDS, DIVERGENCE_STAGE_COUNTS))
+    def test_divergence_stage_count(self, case, stages, monkeypatch):
+        params, alpha, record = case
+        calls, original = [0], ivp.rhs
+
+        def counted(params):
+            deriv = original(params)
+
+            def g(eta, y):
+                calls[0] += 1
+                return deriv(eta, y)
+            return g
+        monkeypatch.setattr(ivp, "rhs", counted)
+        growth = ivp._tail_growth(params, solve_n1(params).beta)
+        eta_max = 3 * auto_eta_max(params)
+        assert ivp._divergence_side(params, alpha, eta_max, growth) == record
+        assert calls[0] == stages
 
     def test_blowup_eta(self, paper_params):
         with pytest.raises(Blowup) as exc:
