@@ -4,20 +4,21 @@ The third-order ODE is integrated as the first-order system
 (f, f', f'')' = (f', f'', M^2 f' + f'^2 - m f f'') from eta = 0 with
 f(0) = s, f'(0) = -1, f''(0) = alpha, either by fixed-step classical RK4
 or by the adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980;
-Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6). The adaptive
-stepper `_dopri` works on plain float tuples. It copies scipy's RK45
-(coefficients, error norm, step controller, initial step), so it takes
-the steps scipy's RK45 solver takes, up to the rounding of its sums:
-numpy's dot products may fuse multiply-adds. It stops where one stop
-function of the state rises through 0, located on the step's dense
-output as a terminal scipy event is. It builds a step's quartic dense
-output only where a sample, an extremum or the stop needs it. Profiles
-carry extrema of f' (sign changes of f'' between samples) so the
-presence or absence of an interior maximum can be checked directly. The
-package's one bisection loop, `_bisection.bisect_sign`, locates both the
-stop and these extrema, the latter on the profile's one state lookup,
-which also builds its rows: the dense output for RK45, a re-integration
-from the sample below for RK4.
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6). Both steppers are
+written out over the three floats (f, f', f''), one right-hand side call
+per stage, each sum in one fixed order: they take the same steps on
+every Python (sum() compensates from 3.12 on). `_dopri` copies scipy's
+RK45 (coefficients, error norm, step controller, initial step), so it
+takes scipy's steps, up to the rounding of its sums: numpy's dot
+products may fuse multiply-adds. It stops where one stop function of the
+state rises through 0, located on the step's dense output as a terminal
+scipy event is, and builds a step's dense output only where a sample, an
+extremum or the stop needs it. Profiles carry extrema of f' (sign
+changes of f'' between samples), so an interior maximum shows directly.
+The package's one bisection loop, `_bisection.bisect_sign`, locates both
+the stop and these extrema, the latter on the profile's one state
+lookup, which also builds its rows: the dense output for RK45, a
+re-integration from the sample below for RK4.
 
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips, on the same loop. Only that exact side decides the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ._bisection import bisect_sign
 from .model import ModelParams
@@ -123,21 +124,25 @@ def auto_eta_max(params: ModelParams) -> float:
     return 10.0 / ansatz.solve_n1(params).beta
 
 
-def _rk4_step(f: Callable, eta: float, y: Sequence[float],
-              h: float) -> tuple[float, ...]:
-    k1 = f(eta, y)
-    k2 = f(eta + h / 2, [a + h / 2 * b for a, b in zip(y, k1)])
-    k3 = f(eta + h / 2, [a + h / 2 * b for a, b in zip(y, k2)])
-    k4 = f(eta + h, [a + h * b for a, b in zip(y, k3)])
-    return tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+def _rk4_step(f: Callable, eta: float, y: tuple[float, float, float],
+              h: float) -> tuple[float, float, float]:
+    """One classical RK4 step, written out over (f, f', f'')."""
+    y0, y1, y2 = y
+    h2, h6 = h / 2, h / 6
+    p1, q1, r1 = f(eta, y)
+    p2, q2, r2 = f(eta + h2, (y0 + h2 * p1, y1 + h2 * q1, y2 + h2 * r1))
+    p3, q3, r3 = f(eta + h2, (y0 + h2 * p2, y1 + h2 * q2, y2 + h2 * r2))
+    p4, q4, r4 = f(eta + h, (y0 + h * p3, y1 + h * q3, y2 + h * r3))
+    return (y0 + h6 * (p1 + 2 * p2 + 2 * p3 + p4),
+            y1 + h6 * (q1 + 2 * q2 + 2 * q3 + q4),
+            y2 + h6 * (r1 + 2 * r2 + 2 * r3 + r4))
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980) with the dense output of
 # Shampine (1986), the coefficients of scipy's RK45: nodes of stages 2-6,
 # their rows of the Runge-Kutta matrix, the 5th-order weights (stage 2's
-# is 0), the error weights E (5th minus 4th order, over stages 1-7) and the
-# interpolation matrix P (one row per stage, one column per power of x).
+# is 0), the error weights E (5th minus 4th order, over stages 1-7) and
+# P's columns for x^2-x^4 by stage (x's column is stage 1 alone).
 _C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = ((1 / 5,),
       (3 / 40, 9 / 40),
@@ -147,44 +152,40 @@ _A = ((1 / 5,),
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
       1 / 40)
-_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-       -12715105075 / 11282082432),
-      (0, 0, 0, 0),
-      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-       87487479700 / 32700410799),
-      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
-       -10690763975 / 1880347072),
-      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-       701980252875 / 199316789632),
-      (0, -282668133 / 205662961, 2019193451 / 616988883,
-       -1453857185 / 822651844),
-      (0, 40617522 / 29380423, -110615467 / 29380423,
-       69997945 / 29380423))
+_P = ((-8048581381 / 2820520608, 0, 131558114200 / 32700410799,
+       -1754552775 / 470086768, 127303824393 / 49829197408,
+       -282668133 / 205662961, 40617522 / 29380423),
+      (8663915743 / 2820520608, 0, -68118460800 / 10900136933,
+       14199869525 / 1410260304, -318862633887 / 49829197408,
+       2019193451 / 616988883, -110615467 / 29380423),
+      (-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+       -10690763975 / 1880347072, 701980252875 / 199316789632,
+       -1453857185 / 822651844, 69997945 / 29380423))
 # step-size controller: the error estimate is 4th order, so the step
 # scales by err^(-1/5)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
 
 # an accepted step: (t_old, t, y_old, stage derivatives k1..k7)
-_Step = tuple[float, float, tuple, tuple]
-
-
-def _rms(v) -> float:
-    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+_Step = tuple[float, float, tuple[float, float, float], tuple]
 
 
 def _initial_step(f, y, k, t_end) -> float:
     """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
     for a 4th-order error estimate at REL_TOL and ABS_TOL."""
-    scale = [ABS_TOL + abs(a) * REL_TOL for a in y]
-    d0 = _rms([a / c for a, c in zip(y, scale)])
-    d1 = _rms([b / c for b, c in zip(k, scale)])
+    (y0, y1, y2), (p, q, r) = y, k
+    c0, c1, c2 = (ABS_TOL + abs(y0) * REL_TOL, ABS_TOL + abs(y1) * REL_TOL,
+                  ABS_TOL + abs(y2) * REL_TOL)
+    u0, u1, u2, v0, v1, v2 = y0 / c0, y1 / c1, y2 / c2, p / c0, q / c1, r / c2
+    d0 = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2) / 3 ** 0.5
+    d1 = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2) / 3 ** 0.5
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     if not h0 > 0:  # d1 infinite (or nan): no step can advance
         raise StepUnderflow("Required step size is less than "
                             "spacing between numbers.")
-    k0 = f(h0, [a + h0 * b for a, b in zip(y, k)])
-    d2 = _rms([(b0 - b) / c for b0, b, c in zip(k0, k, scale)]) / h0
+    p0, q0, r0 = f(h0, (y0 + h0 * p, y1 + h0 * q, y2 + h0 * r))
+    u0, u1, u2 = (p0 - p) / c0, (q0 - q) / c1, (r0 - r) / c2
+    d2 = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2) / 3 ** 0.5 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -193,29 +194,37 @@ def _initial_step(f, y, k, t_end) -> float:
 
 
 def _interpolant(step: _Step) -> Callable[[float], tuple]:
-    """The quartic dense output y(t) on one accepted step."""
-    t_old, t, y_old, k = step
+    """The quartic dense output y(t) on one accepted step, written out
+    over (f, f', f''); P's zero weights are left out of its sums."""
+    t_old, t, (y0, y1, y2), ((p1, q1, r1), _, (p3, q3, r3), (p4, q4, r4),
+                             (p5, q5, r5), (p6, q6, r6), (p7, q7, r7)) = step
     h = t - t_old
-    q = [[sum(kj[i] * pj[c] for kj, pj in zip(k, _P)) for c in range(4)]
-         for i in range(len(y_old))]
+
+    def weigh(w1, _, w3, w4, w5, w6, w7):
+        return (p1 * w1 + p3 * w3 + p4 * w4 + p5 * w5 + p6 * w6 + p7 * w7,
+                q1 * w1 + q3 * w3 + q4 * w4 + q5 * w5 + q6 * w6 + q7 * w7,
+                r1 * w1 + r3 * w3 + r4 * w4 + r5 * w5 + r6 * w6 + r7 * w7)
+    (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = (weigh(*w) for w in _P)
 
     def at(t):
         x = (t - t_old) / h
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return tuple(a + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4)
-                     for a, (q0, q1, q2, q3) in zip(y_old, q))
+        return (y0 + h * (p1 * x + a2 * x2 + a3 * x3 + a4 * x4),
+                y1 + h * (q1 * x + b2 * x2 + b3 * x3 + b4 * x4),
+                y2 + h * (r1 * x + c2 * x2 + c3 * x3 + c4 * x4))
     return at
 
 
-def _dopri(f: Callable, y: Sequence[float], t_end: float,
-           stop: Callable[[Sequence[float]], float],
-           steps: Optional[list] = None) -> tuple[float, tuple, bool]:
+def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
+           stop: Callable[[tuple], float], steps: Optional[list] = None
+           ) -> tuple[float, tuple[float, float, float], bool]:
     """Integrate y' = f(t, y) from t = 0 to t_end by Dormand-Prince 5(4),
     step for step as scipy's RK45: RMS error norm with the scale
     ABS_TOL + max(|y|, |y_new|) REL_TOL, read at each call, safety 0.9,
     step factor within [0.2, 10] and no growth right after a rejection.
+    Stages written out over (f, f', f''), one f call each; else ValueError.
 
     Stops where stop(y) rises through 0 across an accepted step
     (stop(y_old) <= 0 <= stop(y_new)): the crossing is bisected on the
@@ -224,10 +233,9 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float,
     returns (t_end, y(t_end), False). Each accepted step is appended to
     `steps` when given. Raises StepUnderflow when the step would fall
     below 10 ulp(t), which a nan or infinite derivative also leads to."""
-    rtol, atol = REL_TOL, ABS_TOL
-    t = 0.0
-    y = tuple(y)
-    k1 = f(t, y)
+    t, rtol, atol = 0.0, REL_TOL, ABS_TOL
+    y0, y1, y2 = y = tuple(y)
+    k1 = p1, q1, r1 = f(t, y)
     h_abs = _initial_step(f, y, k1, t_end)
     g_old = stop(y)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -248,27 +256,38 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float,
             if t_new > t_end:
                 t_new = t_end
             h = t_new - t
-            k2 = f(t + c2 * h, [a + (u1 * a21) * h for a, u1 in zip(y, k1)])
-            k3 = f(t + c3 * h, [a + (u1 * a31 + u2 * a32) * h
-                                for a, u1, u2 in zip(y, k1, k2)])
-            k4 = f(t + c4 * h, [a + (u1 * a41 + u2 * a42 + u3 * a43) * h
-                                for a, u1, u2, u3 in zip(y, k1, k2, k3)])
-            k5 = f(t + c5 * h,
-                   [a + (u1 * a51 + u2 * a52 + u3 * a53 + u4 * a54) * h
-                    for a, u1, u2, u3, u4 in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [a + (u1 * a61 + u2 * a62 + u3 * a63 + u4 * a64
-                                + u5 * a65) * h
-                           for a, u1, u2, u3, u4, u5
-                           in zip(y, k1, k2, k3, k4, k5)])
-            y_new = tuple(a + h * (u1 * b1 + u3 * b3 + u4 * b4 + u5 * b5
-                                   + u6 * b6)
-                          for a, u1, u3, u4, u5, u6
-                          in zip(y, k1, k3, k4, k5, k6))
-            k7 = f(t + h, y_new)
-            err = _rms([(u1 * e1 + u3 * e3 + u4 * e4 + u5 * e5 + u6 * e6
-                         + u7 * e7) * h / (atol + max(abs(a), abs(b)) * rtol)
-                        for a, b, u1, u3, u4, u5, u6, u7
-                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            k2 = p2, q2, r2 = f(t + c2 * h, (
+                y0 + (p1 * a21) * h, y1 + (q1 * a21) * h, y2 + (r1 * a21) * h))
+            k3 = p3, q3, r3 = f(t + c3 * h, (
+                y0 + (p1 * a31 + p2 * a32) * h, y1 + (q1 * a31 + q2 * a32) * h,
+                y2 + (r1 * a31 + r2 * a32) * h))
+            k4 = p4, q4, r4 = f(t + c4 * h, (
+                y0 + (p1 * a41 + p2 * a42 + p3 * a43) * h,
+                y1 + (q1 * a41 + q2 * a42 + q3 * a43) * h,
+                y2 + (r1 * a41 + r2 * a42 + r3 * a43) * h))
+            k5 = p5, q5, r5 = f(t + c5 * h, (
+                y0 + (p1 * a51 + p2 * a52 + p3 * a53 + p4 * a54) * h,
+                y1 + (q1 * a51 + q2 * a52 + q3 * a53 + q4 * a54) * h,
+                y2 + (r1 * a51 + r2 * a52 + r3 * a53 + r4 * a54) * h))
+            k6 = p6, q6, r6 = f(t + h, (
+                y0 + (p1 * a61 + p2 * a62 + p3 * a63 + p4 * a64
+                      + p5 * a65) * h,
+                y1 + (q1 * a61 + q2 * a62 + q3 * a63 + q4 * a64
+                      + q5 * a65) * h,
+                y2 + (r1 * a61 + r2 * a62 + r3 * a63 + r4 * a64
+                      + r5 * a65) * h))
+            n0 = y0 + h * (p1 * b1 + p3 * b3 + p4 * b4 + p5 * b5 + p6 * b6)
+            n1 = y1 + h * (q1 * b1 + q3 * b3 + q4 * b4 + q5 * b5 + q6 * b6)
+            n2 = y2 + h * (r1 * b1 + r3 * b3 + r4 * b4 + r5 * b5 + r6 * b6)
+            y_new = (n0, n1, n2)
+            k7 = p7, q7, r7 = f(t + h, y_new)
+            u0 = (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6
+                  + p7 * e7) * h / (atol + max(abs(y0), abs(n0)) * rtol)
+            u1 = (q1 * e1 + q3 * e3 + q4 * e4 + q5 * e5 + q6 * e6
+                  + q7 * e7) * h / (atol + max(abs(y1), abs(n1)) * rtol)
+            u2 = (r1 * e1 + r3 * e3 + r4 * e4 + r5 * e5 + r6 * e6
+                  + r7 * e7) * h / (atol + max(abs(y2), abs(n2)) * rtol)
+            err = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2) / 3 ** 0.5
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0 else
                           min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP))
@@ -286,6 +305,7 @@ def _dopri(f: Callable, y: Sequence[float], t_end: float,
                 t = bisect_sign(lambda s: stop(at(s)), t, t_new, g_old, 0.0)[1]
             return t, at(t), True
         t, y, k1, g_old = t_new, y_new, k7, g_new
+        y0, y1, y2, p1, q1, r1 = n0, n1, n2, p7, q7, r7
     return t, y, False
 
 
@@ -324,8 +344,8 @@ def _refine_extrema(samples, fpp_at: Callable[[float], float],
     return out
 
 
-def _rk4_span(f: Callable, eta: float, y: Sequence[float], span: float,
-              step: float, level: float) -> Sequence[float]:
+def _rk4_span(f: Callable, eta: float, y: tuple[float, float, float],
+              span: float, step: float, level: float) -> tuple:
     """y at eta + span by RK4 in the fewest equal substeps no longer than
     `step` up to a relative 1e-9 (a span a few ulps over k steps takes
     k). Raises Blowup when |f''| passes `level` after a substep."""
@@ -375,7 +395,7 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
 
         def state_at(t):
             eta, *y = rows[bisect.bisect_left(grid, t) - 1]
-            return _rk4_span(f, eta, y, t - eta, step, level)
+            return _rk4_span(f, eta, tuple(y), t - eta, step, level)
     else:
         steps: list[_Step] = []
         eta_b, y_b, hit = _dopri(f, y0, cfg.eta_max,

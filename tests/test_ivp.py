@@ -316,6 +316,23 @@ class TestFrozenOffPaper:
         assert prof.extrema == extrema
 
 
+class TestStateLength:
+    """Both steppers are written out for the three floats (f, f', f'')."""
+
+    @pytest.mark.parametrize("y", [(1.8, -1.0), (1.8, -1.0, 4.2, 0.0)])
+    def test_other_lengths_raise_before_any_stage(self, y):
+        calls = []
+
+        def f(eta, state):
+            calls.append(eta)
+            return tuple(state)
+        with pytest.raises(ValueError):
+            ivp._dopri(f, y, 1.0, lambda state: -1.0)
+        with pytest.raises(ValueError):
+            ivp._rk4_step(f, 0.0, y, 1e-3)
+        assert calls == []
+
+
 class TestExtrema:
     def test_synthetic_interior_maximum(self):
         # feed _refine_extrema a profile built from a known function:
