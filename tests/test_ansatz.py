@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mhdsheet import (AnsatzSolution, ComplexDecay, IntegratorConfig,
                       ModelParams, NoConvergence, NoPhysicalRoot, RequiresNonzeroM,
-                      eval_ansatz, integrate, residual_modes, solve_general,
-                      solve_n1, solve_n2)
+                      ansatz, eval_ansatz, integrate, residual_modes,
+                      solve_general, solve_n1, solve_n2)
 from mhdsheet.ansatz import _modes, _real_roots
 
 from conftest import PAPER_ALPHA
@@ -250,7 +250,58 @@ class TestRealRoots:
         assert roots == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
+# (M, m, s) -> (repr of solve_general(params, 4).alpha_est, repr of .beta)
+# at test_ivp.PROFILE_RECORDS' points and the paper case, recorded while the
+# Newton step was numpy's LAPACK solve: PROFILE_RECORDS' shooting brackets
+# are built from these estimates, so they must not move by an ulp
+GENERAL_N4_RECORDS = {
+    (1.73, 0.0, 1.07): ("1.5246049626588192", "1.73"),
+    (2.19, 1.0, 1.81): ("3.053284199076091", "3.0532841990760904"),
+    (1.27, 1.47, 1.97): ("3.0241079267090103", "2.950431623579006"),
+    (2.61, 0.0, 1.59): ("2.4789746403379134", "2.61"),
+    (1.79, 1.0, 2.17): ("2.9238379482705814", "2.9238379482705916"),
+    (1.67, 0.57, 2.29): ("2.1988306033525387", "2.2759463531569764"),
+    (2, 2, 1.8): ("4.204106103234005", "4.094822153066341"),
+}
+
+
 class TestGeneral:
+    @pytest.mark.parametrize("point", list(GENERAL_N4_RECORDS))
+    def test_frozen_estimates(self, point):
+        sol = solve_general(ModelParams(*point), 4)
+        assert (repr(sol.alpha_est), repr(sol.beta)) == GENERAL_N4_RECORDS[point]
+
+    def test_singular_jacobian_is_no_convergence(self, paper_params,
+                                                 monkeypatch):
+        jacobian = ansatz._jacobian
+
+        def zero_column(params, x, N):
+            return [[0.0, *row[1:]] for row in jacobian(params, x, N)]
+        monkeypatch.setattr(ansatz, "_jacobian", zero_column)
+        with pytest.raises(NoConvergence, match="singular Jacobian") as info:
+            solve_general(paper_params, 4)
+        # Newton solves only while the residual is at least 1e-13
+        assert info.value.residual >= 1e-13
+
+    def test_nan_residual_is_no_convergence(self, paper_params, monkeypatch):
+        # after the first real call the residual is 0 but for a nan last
+        # component (the Jacobian's complex calls are left alone). Python's
+        # max() passes over a nan that is not first, so a norm taken with
+        # it would accept the first Newton iterate as a root
+        system, calls = ansatz._system, [0]
+
+        def nan_last(params, x, N):
+            g = system(params, x, N)
+            if all(isinstance(v, float) for v in x):
+                calls[0] += 1
+                if calls[0] > 1:
+                    g = [0.0] * (len(g) - 1) + [math.nan]
+            return g
+        monkeypatch.setattr(ansatz, "_system", nan_last)
+        with pytest.raises(NoConvergence):
+            solve_general(paper_params, 4)
+        assert calls[0] > 1
+
     def test_reproduces_n2_at_N2(self, paper_params):
         direct = solve_n2(paper_params)
         newton = solve_general(paper_params, 2)

@@ -234,6 +234,18 @@ class TestPade:
         with pytest.raises(DegenerateSystem):
             pade([1.0, 0.0, 0.0, 0.0, 0.0], L=1, K=2)
 
+    def test_near_singular_system(self):
+        # the Toeplitz matrix [[1, 1], [1 + 2^-52, 1]] has determinant
+        # -2^-52, so it is invertible, and its 2-norm condition number is
+        # ~1.8e16: far enough past 1e13 that any norm's test refuses it
+        series = [1.0, 1.0, 1.0 + 2 ** -52, 0.5]
+        A = [[series[1], series[0]], [series[2], series[1]]]
+        assert Fraction(A[0][0]) * Fraction(A[1][1]) \
+            - Fraction(A[0][1]) * Fraction(A[1][0]) == -Fraction(1, 2 ** 52)
+        assert np.linalg.cond(A) >= 1e15
+        with pytest.raises(DegenerateSystem):
+            pade(series, L=1, K=2)
+
     def test_pole_near(self):
         p = pade([1.0, 1.0, 1.0], L=0, K=1)  # 1/(1-x)
         with pytest.raises(PoleNear):
