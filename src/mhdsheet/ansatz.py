@@ -22,6 +22,7 @@ from functools import reduce
 
 from ._bisection import bisect_sign
 from .model import ModelParams
+from .polyseries import solve_linear
 
 
 class ComplexDecay(Exception):
@@ -84,8 +85,12 @@ def residual_modes(params: ModelParams, sol: AnsatzSolution) -> ResidualModes:
     return ResidualModes(tuple(_modes(params, sol.beta, sol.b)))
 
 
+def _sum_in_order(xs):  # left to right: sum() compensates floats from 3.12 on
+    return reduce(lambda acc, x: acc + x, xs, 0)
+
+
 def _alpha_est(beta: float, b) -> float:
-    return beta * beta * sum(j * j * bj for j, bj in enumerate(b))
+    return beta * beta * _sum_in_order(j * j * bj for j, bj in enumerate(b))
 
 
 def _finish(params: ModelParams, beta: float, b) -> AnsatzSolution:
@@ -216,8 +221,8 @@ def solve_n2(params: ModelParams) -> AnsatzSolution:
 def _system(params: ModelParams, x: list[float], N: int) -> list[float]:
     b = x[:N + 1]
     beta = x[N + 1]
-    return [sum(b) - params.s,
-            beta * sum(j * b[j] for j in range(N + 1)) - 1.0,
+    return [_sum_in_order(b) - params.s,
+            beta * _sum_in_order(j * b[j] for j in range(N + 1)) - 1.0,
             *_modes(params, beta, b)[:N]]
 
 
@@ -237,12 +242,15 @@ def _jacobian(params: ModelParams, x: list[float], N: int) -> list[list[float]]:
     return [list(row) for row in zip(*cols)]
 
 
+def _max_abs(g: list[float]) -> float:  # nan if any g_i is, unlike max()
+    return math.nan if any(x != x for x in g) else max(map(abs, g))
+
+
 def solve_general(params: ModelParams, N: int) -> AnsatzSolution:
-    """Damped Newton on the (N+2)-equation defining system, with the
-    Jacobian taken from the system itself by complex steps. Seeds from the
-    N=2 closed form padded with zeros when N >= 2 and it exists, else from
-    N=1."""
-    import numpy as np  # for the linear solve and the residual norm
+    """Damped Newton on the (N+2)-equation defining system: Jacobian by
+    complex steps, steps by `solve_linear` (zero pivot: NoConvergence), and
+    a residual norm that is nan if any residual is. Seeds from the N=2
+    closed form padded with zeros if N >= 2 and it exists, else from N=1."""
     if N < 1:
         raise ValueError("N must be >= 1")
     try:
@@ -252,20 +260,19 @@ def solve_general(params: ModelParams, N: int) -> AnsatzSolution:
     x = list(init.b[:N + 1]) + [0.0] * (N - init.N) + [init.beta]
 
     g = _system(params, x, N)
-    norm = np.max(np.abs(g))
+    norm = _max_abs(g)
     for _ in range(100):
         if norm < 1e-13:
             break
-        J = _jacobian(params, x, N)
         try:
-            step = np.linalg.solve(J, g).tolist()
-        except np.linalg.LinAlgError as e:
-            raise NoConvergence(f"singular Jacobian: {e}", residual=norm)
+            step, = solve_linear(_jacobian(params, x, N), [g])
+        except ZeroDivisionError:
+            raise NoConvergence("singular Jacobian", residual=norm)
         lam = 1.0
         for _ in range(20):
             x_new = [xi - lam * si for xi, si in zip(x, step)]
             g_new = _system(params, x_new, N)
-            norm_new = np.max(np.abs(g_new))
+            norm_new = _max_abs(g_new)
             if norm_new < norm:
                 break
             lam *= 0.5

@@ -158,34 +158,52 @@ class PadeApproximant:
     den_coeffs: tuple[float, ...]
 
 
+def solve_linear(A: Sequence[Sequence[float]],
+                 B: Sequence[Sequence[float]]) -> list[list[float]]:
+    """x with A x = b for each b in B: Gaussian elimination with partial
+    pivoting on floats, alike on every host. ZeroDivisionError on a 0 pivot."""
+    n = len(A)
+    rows = [[*A[i], *(b[i] for b in B)] for i in range(n)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        for row in rows[k + 1:]:
+            lk = row[k] / rows[k][k]
+            row[k + 1:] = [v - lk * u for v, u in zip(row[k + 1:], rows[k][k + 1:])]
+    for k in reversed(range(n)):  # back substitution: x_k, then out of rows above
+        x_k = rows[k][n:] = [v / rows[k][k] for v in rows[k][n:]]
+        for row in rows[:k]:
+            row[n:] = [v - row[k] * u for v, u in zip(row[n:], x_k)]
+    return [[row[c] for row in rows] for c in range(n, n + len(B))]
+
+
 def pade(series: Sequence[float], L: int, K: int) -> PadeApproximant:
     """[L/K] Pade approximant of a Maclaurin series.
 
-    Denominator coefficients solve the K x K Toeplitz system that matches
-    orders L+1 .. L+K; the numerator follows by convolution.
+    Denominator coefficients solve the K x K Toeplitz system A d = r that
+    matches orders L+1 .. L+K; the numerator follows by convolution.
+    DegenerateSystem on a zero pivot or unless ||A||_1 ||A^-1||_1 <= 1e13
+    (A^-1 from the same elimination; within a factor K of the 2-norm cond).
     """
-    import numpy as np  # the Toeplitz solve and its condition number
-
     c = [float(x) for x in series]
     if len(c) < L + K + 1:
         raise ValueError(f"need at least {L + K + 1} series coefficients, got {len(c)}")
 
-    def cc(i):
-        return c[i] if i >= 0 else 0.0
-
-    if K == 0:
-        den = [1.0]
-    else:
-        A = np.array([[cc(L + j - k) for k in range(1, K + 1)]
-                      for j in range(1, K + 1)])
-        rhs = -np.array([cc(L + j) for j in range(1, K + 1)])
-        if np.linalg.cond(A) > 1e13:
-            raise DegenerateSystem(
-                f"Toeplitz system for [{L}/{K}] is singular or near-singular; "
-                "retry with smaller K")
-        d = np.linalg.solve(A, rhs)
-        den = [1.0] + list(d)
-    num = [sum(den[k] * cc(i - k) for k in range(min(i, K) + 1))
+    A = [[c[L + j - k] if L + j >= k else 0.0 for k in range(1, K + 1)]
+         for j in range(1, K + 1)]
+    units = [[float(i == j) for i in range(K)] for j in range(K)]
+    try:
+        d, *inv = solve_linear(A, [[-c[L + j] for j in range(1, K + 1)], *units])
+        cond = math.prod(max((math.fsum(map(abs, x)) for x in cols), default=0.0)
+                         for cols in (zip(*A), inv))
+    except ZeroDivisionError:
+        cond = math.inf
+    if not cond <= 1e13:
+        raise DegenerateSystem(
+            f"Toeplitz system for [{L}/{K}] is singular or near-singular; "
+            "retry with smaller K")
+    den = [1.0, *d]
+    num = [math.fsum(den[k] * c[i - k] for k in range(min(i, K) + 1))
            for i in range(L + 1)]
     return PadeApproximant(tuple(num), tuple(den))
 

@@ -550,15 +550,16 @@ def test_timeout_is_not_an_output_error(monkeypatch):
 
 
 class TestWithoutNumpy:
-    """Every command in a fresh interpreter where numpy cannot be
-    imported: only `pade` and `solve_general` need it."""
+    """Every command, and the package's two linear solves, in a fresh
+    interpreter where numpy cannot be imported: the package needs only the
+    standard library."""
 
     SCRIPT = ("import sys; sys.modules['numpy'] = None; "
               "from mhdsheet.cli import main; sys.exit(main(sys.argv[1:]))")
 
-    def run(self, *argv):
+    def run(self, *argv, script=SCRIPT):
         src = str(Path(mhdsheet.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
                               env={"PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -580,6 +581,17 @@ class TestWithoutNumpy:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [r[1] for r in rows] == ["1.8", "1.9"]
         assert [r[-1] for r in rows] == ["ok", "ok"]
+
+    def test_solve_general_and_pade(self):
+        out = self.run(script=(
+            "import sys; sys.modules['numpy'] = None; "
+            "from mhdsheet import ModelParams, pade, solve_general; "
+            "print(repr(solve_general(ModelParams(2, 2, 1.8), 4).alpha_est)); "
+            "print(pade([1.0, 1.0, 0.5], 1, 1))"))
+        # the paper value of test_ansatz.GENERAL_N4_RECORDS, and [1/1] of exp
+        assert out.splitlines() == [
+            "4.204106103234005",
+            "PadeApproximant(num_coeffs=(1.0, 0.5), den_coeffs=(1.0, -0.5))"]
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,20 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_does_not_load_numpy():
-    # only `pade` and `solve_general` import numpy, when called; at
-    # module level it was ~90% of the package's import time
+    # the package needs only the standard library; numpy at module level
+    # was once ~90% of its import time
     import_leaves_out("numpy")
+
+
+def test_no_module_imports_numpy():
+    # numpy is a test extra: no module, at any level, may import it
+    for path in Path(mhdsheet.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "numpy" for n in names), \
+                f"{path.name}:{node.lineno} imports numpy"
