@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -84,6 +85,16 @@ def _parse_exact(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from e
     if abs(x) > sys.float_info.max:
         raise argparse.ArgumentTypeError(f"does not fit a float: {text!r}")
+    return x
+
+
+def _parse_finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from e
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
     return x
 
 
@@ -232,6 +243,8 @@ def cmd_scan(args) -> int:
     # Drawn one point at a time: a list of them all takes ~115 MB per 10^6
     # points before the first one runs
     start, stop, count = args.start, args.stop, args.count
+    for v in (start, stop):  # both ends in the float range, before any point
+        _checked(ModelParams, **{**base, args.sweep: v})
     values = (start + (stop - start) * Fraction(i, count - 1)
               for i in range(count)) if count > 1 else [start]
 
@@ -277,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="CSV profile of f'(eta)")
     _add_common_flags(p)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_parse_finite, default=None,
                    help="use this f''(0) instead of solving for it")
     p.add_argument("--eta-max", dest="eta_max", default="auto",
                    help="integration endpoint, decimal or 'auto'")

@@ -474,8 +474,12 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["solve", "--M", "1e400", "--m", "2", "--s", "1.8"],
     ["solve", "--M", "two", "--m", "2", "--s", "1.8"],
     ["solve", "--M", "2", "--m", "2"],
+    # --alpha is checked before the N=1 seed, which has no real root here
+    ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "nan"],
+    ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "inf"],
 ], ids=["d", "Dmax", "tol", "tol-inf", "stride", "eta-max", "alpha", "d-before-seed",
-        "scan-d-before-seed", "M-1e400", "M-two", "missing-s"])
+        "scan-d-before-seed", "M-1e400", "M-two", "missing-s",
+        "alpha-before-seed", "alpha-inf-before-seed"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -506,6 +510,23 @@ def test_unbounded_grid_is_usage_error(argv, monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "rows" in lines[0]
+
+
+def test_scan_end_past_float_range_is_usage_error(monkeypatch, capsys):
+    # 1e-400 is not 0, but its float is: two points (~5 s) ran before the
+    # last one stopped the scan with this error
+    def never(params, cfg, seed):
+        raise AssertionError("alpha_sequence ran before the grid check")
+    monkeypatch.setattr(hankel, "alpha_sequence", never)
+    with deadline(5):
+        code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
+                     "s", "--start", "1.8", "--stop", "1e-400", "--count", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "float range" in lines[0]
 
 
 def test_help_exits_zero(capsys):

@@ -3,7 +3,6 @@ import hashlib
 import math
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -345,7 +344,7 @@ class TestExtrema:
         def gp(eta):
             return math.exp(-eta) * (1 + eta - eta * eta / 2)
 
-        etas = np.arange(0.0, 5.01, 0.1)
+        etas = [i * 0.1 for i in range(51)]
         samples = [(e, 0.0, g(e), gp(e)) for e in etas]
         ext = _refine_extrema(samples, gp, g, noise_floor=1e-9)
         assert len(ext) == 1
