@@ -17,9 +17,11 @@ profile's --stride defaults to `ivp.IntegratorConfig.sample_stride`.
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
 (a missing, unknown or unparsable flag, a flag value out of bounds or
-past the float range, or a profile grid of more than `ivp.MAX_ROWS` rows
-prints one `error: <message>` line on stderr; every flag is checked
-before any stage runs, and a grid too large at the auto eta_max, checked
+past the float range, a `scan` grid point past it, or a profile grid of
+more than `ivp.MAX_ROWS` rows prints one `error: <message>` line on
+stderr; every flag and grid point is checked before any stage runs, a
+negative value may follow its flag after a space in any form (-1e-3,
+-1/3), and a grid too large at the auto eta_max, checked
 right after the N=1 seed, ends even a whole `scan`), 2 computation
 finished without convergence or stopped on a named error (printed as
 `error: <Name>: <message>` on stderr; `scan` writes the name in the
@@ -185,7 +187,7 @@ def cmd_solve(args) -> int:
     try:
         w = 0.05 * max(1.0, abs(seq.alpha_star))
         alpha_shooting = _num(ivp.shoot_refine(
-            params, (seq.alpha_star - w, seq.alpha_star + w)))
+            params, (seq.alpha_star - w, seq.alpha_star + w), seq.alpha_star))
     except (ivp.BadBracket, ivp.Blowup, ivp.StepUnderflow) as e:
         alpha_shooting = None
         warnings.append(f"shooting: {type(e).__name__}: {e}")
@@ -243,14 +245,23 @@ def cmd_scan(args) -> int:
     # Drawn one point at a time: a list of them all takes ~115 MB per 10^6
     # points before the first one runs
     start, stop, count = args.start, args.stop, args.count
-    for v in (start, stop):  # both ends in the float range, before any point
-        _checked(ModelParams, **{**base, args.sweep: v})
-    values = (start + (stop - start) * Fraction(i, count - 1)
-              for i in range(count)) if count > 1 else [start]
+
+    def value(i):
+        return (start + (stop - start) * Fraction(i, count - 1) if count > 1
+                else start)
+    # every point in the float range, before any point runs: no interior
+    # point can overflow, and none lies nearer 0 than the one or two points
+    # about the grid's zero crossing, so those and both ends are checked
+    checked = {0, count - 1}
+    if start * stop < 0:
+        t = start * (count - 1) / (start - stop)  # the crossing's index
+        checked |= {math.floor(t), math.ceil(t)}
+    for i in sorted(checked):
+        _checked(ModelParams, **{**base, args.sweep: value(i)})
 
     lines = ["sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,"
              "monotone,status"]
-    for v in values:
+    for v in map(value, range(count)):
         params = _checked(ModelParams, **{**base, args.sweep: v})
         run = _run(params, hcfg, ivp.IntegratorConfig())
         # a column is blank when its stage did not run
@@ -311,7 +322,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag -<number>` written `--flag=-<number>`.
+    argparse takes only words such as -1 and -1.5 for negative numbers,
+    and any other word that starts with '-' (-1e-3, -1/3, -.5e1) for an
+    option; a word of '-' and a digit, or of '-.' and a digit, names no
+    option here, so it is joined to the flag before it as its value."""
+    out: list[str] = []
+    for word in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] != "--" and word.startswith("-")
+                and word[1:].removeprefix(".")[:1].isdigit()):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)  # --help exits here, with 0
         return args.func(args)

@@ -24,9 +24,11 @@ Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips, on the same loop. Only that exact side decides the
 bracket. A continuous tail value from the same trajectory picks which
 node of bisection's tree to integrate next (Illinois regula falsi), so the
-result is plain bisection's float in fewer trajectories. The N=1 decay
-rate alone sets both the horizon of each trial and the tail growth rate
-behind that value.
+result is plain bisection's float in fewer trajectories. A guess, such as
+the Hankel alpha, adds two tested points just either side of it before
+that walk, which then needs only a few more. The N=1 decay rate alone
+sets both the horizon of each trial and the tail growth rate behind that
+value.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ BLOWUP = 1e12
 MAX_ROWS = 10 ** 6
 # shooting's bisection stops once its bracket is at most this wide
 LEAF_WIDTH = 1e-8
+# a shooting guess g is tested at g +- SEED_WIDTH max(1, |g|)
+SEED_WIDTH = 1e-7
 # RK4's fixed step, and RK45's relative and absolute tolerances
 STEP = 1e-3
 REL_TOL = 1e-10
@@ -469,7 +473,8 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
         return side, math.copysign(math.inf, fp)
 
 
-def shoot_refine(params: ModelParams, bracket: tuple[float, float]) -> float:
+def shoot_refine(params: ModelParams, bracket: tuple[float, float],
+                 guess: Optional[float] = None) -> float:
     """alpha at the sign change of the divergence side inside bracket,
     resolved to bisection's final width of 1e-8, or to two adjacent
     floats once those are further apart (|alpha| >= 2^26). Independent
@@ -492,10 +497,22 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float]) -> float:
     without a usable u (a non-finite u, or a u whose sign is not the
     side) it is the midpoint itself. When the side changes once inside
     the bracket every inferred side is the side bisection would compute,
-    so the result is the same float."""
+    so the result is the same float.
+
+    A `guess` (the Hankel alpha in `mhdsheet solve`) seeds the search:
+    after the two ends, which alone decide `BadBracket`, guess - w and
+    then guess + w, w = SEED_WIDTH max(1, |guess|), are tested, each only
+    if it lies strictly inside the tested (a, b), and each replaces a or
+    b by its side. Seeds are tested points like any other, so when
+    the side changes once inside the bracket the result is still plain
+    bisection's float; a good guess leaves the walk a bracket 2 w wide
+    about the answer. A non-finite guess raises ValueError, as a
+    non-finite bracket does, before any trajectory."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket must be finite")
+    if guess is not None and not math.isfinite(guess):
+        raise ValueError("guess must be finite")
     if lo > hi:
         lo, hi = hi, lo
     eta_max = 3 * auto_eta_max(params)
@@ -507,6 +524,15 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float]) -> float:
         raise BadBracket(
             f"both endpoints diverge the same way (side {side_lo:+d})")
     a, b = lo, hi
+    if guess is not None:
+        w = SEED_WIDTH * max(1.0, abs(guess))
+        for p in (guess - w, guess + w):
+            if a < p < b:
+                side, u = _divergence_side(params, p, eta_max, growth)
+                if side == side_lo:
+                    a, ua = p, u
+                else:
+                    b, ub = p, u
     moved = 0  # end replaced by the last test: -1 for a, +1 for b
 
     def side_at(mid):

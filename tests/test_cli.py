@@ -187,6 +187,19 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
 
+    def test_paper_solve_trajectories(self, monkeypatch, capsys):
+        # one ivp.rhs call per trajectory; unseeded, shooting took 12 and
+        # the profile 1, and the Hankel alpha as the seed halves shooting's
+        calls, original = [0], ivp.rhs
+
+        def counted(params):
+            calls[0] += 1
+            return original(params)
+        monkeypatch.setattr(ivp, "rhs", counted)
+        assert main(["solve", "--M", "2", "--m", "2", "--s", "1.8"]) == 0
+        assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
+        assert calls[0] <= 7
+
     def test_prime_denominator_solve_is_frozen(self, capsys):
         # q = 101 lies above every 2D+d the search reaches
         code = main(["solve", "--M", "2", "--m", "2", "--s", "1/101",
@@ -527,6 +540,49 @@ def test_scan_end_past_float_range_is_usage_error(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "float range" in lines[0]
+
+
+def test_scan_interior_point_past_float_range_is_usage_error(monkeypatch,
+                                                              capsys):
+    # both ends fit a float, but the midpoint ~5e-326 rounds to 0: the
+    # first point (~3 s) ran before it stopped the scan
+    def never(params, cfg, seed):
+        raise AssertionError("alpha_sequence ran before the grid check")
+    monkeypatch.setattr(hankel, "alpha_sequence", never)
+    with deadline(5):
+        code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
+                     "s", "--start=-1e-320", "--stop", "1.00001e-320",
+                     "--count", "3", "--Dmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: parameter s is past the float range\n"
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1/3", "-.5e1"])
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_negative_value_after_a_space(command, value, monkeypatch):
+    # argparse took these for options: "argument --s: expected one
+    # argument"; only --s=-1e-3 worked
+    class FirstPoint(Exception):
+        pass
+
+    def first_point(params, *args):
+        raise FirstPoint(params)
+    monkeypatch.setattr(cli, "_run", first_point)
+    argv = (["solve", "--M", "2", "--m", "2", "--s", value] if command == "solve"
+            else ["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep", "s",
+                  "--start", value, "--stop", "1", "--count", "2"])
+    with pytest.raises(FirstPoint) as exc:
+        main(argv)
+    assert exc.value.args[0].exact[2] == Fraction(value)
+
+
+def test_flag_without_value_is_usage_error(capsys):
+    assert main(["solve", "--M", "2", "--s", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --s: expected one argument\n"
 
 
 def test_help_exits_zero(capsys):

@@ -640,6 +640,75 @@ class TestGuidedShooting:
         assert ivp._divergence_side(PAPER, 4.4, 1e3, growth) == (1, math.inf)
 
 
+# guesses about the shot value alpha, as offsets in units of max(1, |alpha|):
+# the seeds guess -+ 1e-7 max(1, |guess|) straddle alpha for the first
+# five and both lie on one side of it for the rest
+SEED_OFFSETS = (0.0, 1e-9, -1e-9, 5e-8, -5e-8, 1e-6, -1e-6, 1e-3, -1e-3)
+
+
+def profile_bracket(point):
+    """The shoot-profile benchmark's bracket at a PROFILE_RECORDS point."""
+    params = ModelParams(*point)
+    est = solve_general(params, 4).alpha_est
+    w = 0.1 * max(1.0, abs(est))
+    return params, (est - w, est + w)
+
+
+def check_seeded(params, bracket):
+    """shoot_refine with each guess of SEED_OFFSETS and one past the
+    bracket gives plain bisection's float, in no more trajectories than
+    without a guess whenever its seeds straddle that float; the guess past
+    the bracket tests no seed."""
+    ref = reference_bisection(params, bracket)
+    with counting_trajectories() as n:
+        assert shoot_refine(params, bracket) == ref
+    unseeded = n[0]
+    scale = max(1.0, abs(ref))
+    for guess in [ref + k * scale for k in SEED_OFFSETS]:
+        with counting_trajectories() as n:
+            assert shoot_refine(params, bracket, guess) == ref
+        w = ivp.SEED_WIDTH * max(1.0, abs(guess))
+        if guess - w < ref < guess + w:
+            assert n[0] <= unseeded
+    with counting_trajectories() as n:
+        assert shoot_refine(params, bracket, max(bracket) + scale) == ref
+    assert n[0] == unseeded
+
+
+class TestSeededShooting:
+    @pytest.mark.parametrize("params,bracket", BRACKETS)
+    def test_brackets(self, params, bracket):
+        check_seeded(params, bracket)
+
+    @pytest.mark.parametrize("point", list(PROFILE_RECORDS))
+    def test_profile_points(self, point):
+        check_seeded(*profile_bracket(point))
+
+    def test_paper_guess_halves_the_trajectories(self):
+        # the paper solve's bracket and guess, its Hankel alpha
+        alpha_star = 4.204113398591289
+        w = 0.05 * alpha_star
+        bracket = (alpha_star - w, alpha_star + w)
+        with counting_trajectories() as n:
+            shoot_refine(PAPER, bracket)
+        with counting_trajectories() as n_seeded:
+            shoot_refine(PAPER, bracket, alpha_star)
+        assert (n[0], n_seeded[0]) == (12, 6)
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_guess_rejected(self, guess):
+        with counting_trajectories() as n:
+            with pytest.raises(ValueError, match="guess must be finite"):
+                shoot_refine(PAPER, (4.0, 4.4), guess)
+        assert n[0] == 0
+
+    def test_bad_bracket_tests_only_its_ends(self):
+        with counting_trajectories() as n:
+            with pytest.raises(BadBracket):
+                shoot_refine(PAPER, (6.0, 8.0), 7.0)
+        assert n[0] == 2
+
+
 # _divergence_side's (side, u) at the horizon 3 * auto_eta_max, with the
 # tail growth rate, frozen: alpha 4.0 stops at f' = -1.5, 4.2 runs to the
 # horizon, 4.5 and the m = 1 case at 2.4 stop at f' = +0.5
