@@ -23,7 +23,8 @@ re-integration from the sample below for RK4.
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
 divergence side flips, on the same loop. Only that exact side decides the
 bracket. A continuous tail value from the same trajectory picks which
-node of bisection's tree to integrate next (Illinois regula falsi), so the
+node of bisection's tree to integrate next, by the secant through one
+side's two latest trials or else the chord across the bracket, so the
 result is plain bisection's float in fewer trajectories. A guess, such as
 the Hankel alpha, adds two tested points just either side of it before
 that walk, which then needs only a few more. The N=1 decay rate alone
@@ -85,8 +86,9 @@ class IntegratorConfig:
         # written so that nan fails every check
         if self.eta_max is not None and not 0 < self.eta_max < math.inf:
             raise ValueError("eta_max must be positive and finite")
-        if not self.sample_stride > 0:
-            raise ValueError("sample_stride must be positive")
+        # an infinite stride would make the grid's first point 0 * inf = nan
+        if not 0 < self.sample_stride < math.inf:
+            raise ValueError("sample_stride must be positive and finite")
         # refused before any grid is built
         if (self.eta_max is not None
                 and not self.eta_max / self.sample_stride <= MAX_ROWS):
@@ -459,7 +461,7 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
 
     u = f'(eta_stop) exp(growth (eta_max - eta_stop)) carries f' at the
     stop (that end, or eta_max) out to eta_max along the unstable tail
-    mode. Its sign is the side, and across a shooting bracket it is
+    mode. Its sign is the side, and on each side of the root it is
     nearly linear in alpha, so it can guide the choice of the next alpha.
     Raises StepUnderflow when the integrator cannot advance."""
 
@@ -490,14 +492,20 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     only the order of the work differs. The search keeps the tested
     points a < b nearest the sign change. A tree midpoint outside (a, b)
     takes its side from a or b without a trajectory. A midpoint inside
-    needs a test, and the point tested is chosen by an Illinois regula
-    falsi step (Dowell & Jarratt 1971) on the tail value u of
-    `_divergence_side`, rounded to the deepest node inside (a, b) on the
-    tree path toward it (one more `bisect_sign` walk from the bracket);
-    without a usable u (a non-finite u, or a u whose sign is not the
-    side) it is the midpoint itself. When the side changes once inside
-    the bracket every inferred side is the side bisection would compute,
-    so the result is the same float.
+    needs a test. The point tested is predicted from the tail value u of
+    `_divergence_side` and rounded to the deepest node inside (a, b) on
+    the tree path toward it (one more `bisect_sign` walk from the
+    bracket). u is linear in alpha on each side of the root, but with
+    another slope on each side (the divergence is nonlinear), so a chord
+    across the root gains only a constant factor per trial. Each side
+    therefore keeps its tested point before a or b, and where that pair
+    spans at most half of b - a (the tighter pair, if both do), its
+    secant's zero is the prediction, if it lies inside (a, b). Else the
+    chord through (a, ua) and (b, ub) predicts; without a usable u (a
+    non-finite or zero u, or one whose sign is not the side) the test
+    is the midpoint itself. When the side changes once inside the
+    bracket every inferred side is the side bisection would compute, so
+    the result is the same float.
 
     A `guess` (the Hankel alpha in `mhdsheet solve`) seeds the search:
     after the two ends, which alone decide `BadBracket`, guess - w and
@@ -524,38 +532,58 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
         raise BadBracket(
             f"both endpoints diverge the same way (side {side_lo:+d})")
     a, b = lo, hi
+    # each side's tested point before its end (a or b), with its raw u
+    prev_a = prev_b = None
+
+    def trial(p):
+        # test p and make it the end on its side
+        nonlocal a, b, ua, ub, prev_a, prev_b
+        side, u = _divergence_side(params, p, eta_max, growth)
+        if side == side_lo:
+            prev_a, a, ua = (a, ua), p, u
+        else:
+            prev_b, b, ub = (b, ub), p, u
+
     if guess is not None:
         w = SEED_WIDTH * max(1.0, abs(guess))
         for p in (guess - w, guess + w):
             if a < p < b:
-                side, u = _divergence_side(params, p, eta_max, growth)
-                if side == side_lo:
-                    a, ua = p, u
-                else:
-                    b, ub = p, u
-    moved = 0  # end replaced by the last test: -1 for a, +1 for b
+                trial(p)
+
+    def usable(u, side):
+        # finite, nonzero and of the side's sign (nan fails)
+        return 0 < u * side < math.inf
+
+    def aim():
+        # the zero of a side's secant through its end and the point
+        # before, where those span at most half of b - a (the tighter
+        # pair if both do) and it lies inside (a, b); else the chord's
+        # through (a, ua) and (b, ub); else None
+        pair, span = None, 0.5 * (b - a)
+        for end, u, prev, side in ((a, ua, prev_a, side_lo),
+                                   (b, ub, prev_b, side_hi)):
+            if (prev is not None and abs(end - prev[0]) <= span
+                    and usable(u, side) and usable(prev[1], side)
+                    and u != prev[1]):
+                pair, span = (end, u, prev), abs(end - prev[0])
+        if pair is not None:
+            end, u, (q, uq) = pair
+            slope = (u - uq) / (end - q)
+            x = end - u / slope
+            if a < x < b:
+                return x
+        if usable(ua, side_lo) and usable(ub, side_hi):
+            x = b - ub * (b - a) / (ub - ua)
+            # rounding can put x on a or b; aim just inside instead
+            return min(max(x, math.nextafter(a, b)), math.nextafter(b, a))
+        return None
 
     def side_at(mid):
         # a tree midpoint outside the tested (a, b) takes its side from
         # there; inside, test points until it lies outside
-        nonlocal a, b, ua, ub, moved
         while a < mid < b:
-            p = mid
-            if (math.isfinite(ua) and math.isfinite(ub)
-                    and ua * side_lo > 0 and ub * side_hi > 0):
-                x = b - ub * (b - a) / (ub - ua)
-                # rounding can put x on a or b; aim just inside instead
-                p = tree_point(min(max(x, math.nextafter(a, b)),
-                                   math.nextafter(b, a)))
-            side, u = _divergence_side(params, p, eta_max, growth)
-            if side == side_lo:
-                if moved < 0:  # b kept twice: Illinois halves its weight
-                    ub *= 0.5
-                a, ua, moved = p, u, -1
-            else:
-                if moved > 0:
-                    ua *= 0.5
-                b, ub, moved = p, u, 1
+            x = aim()
+            trial(mid if x is None else tree_point(x))
         return side_lo if mid <= a else side_hi
 
     def tree_point(x):

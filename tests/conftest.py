@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mhdsheet import ModelParams
+from mhdsheet import ModelParams, ivp
 
 # the case studied in detail: M = m = 2, s = 1.8
 PAPER_ALPHA = 4.20411340
@@ -33,6 +33,22 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def counting_trajectories():
+    """Yield a one-item list holding the number of trajectories (one
+    `ivp.rhs` call each) integrated inside the block."""
+    original, count = ivp.rhs, [0]
+
+    def counted(params):
+        count[0] += 1
+        return original(params)
+    ivp.rhs = counted
+    try:
+        yield count
+    finally:
+        ivp.rhs = original
 
 
 def clear_by_lcm(coeffs):

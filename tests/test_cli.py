@@ -13,7 +13,7 @@ from mhdsheet import (HankelConfig, ModelParams, ansatz, cli, hankel, ivp,
                       taylor_table)
 from mhdsheet.cli import build_parser, main
 
-from conftest import PAPER_ALPHA, deadline
+from conftest import PAPER_ALPHA, counting_trajectories, deadline
 
 # small Hankel depth keeps CLI runs fast; the paper case settles early
 FAST = ["--M", "2", "--m", "2", "--s", "1.8", "--Dmax", "14"]
@@ -187,16 +187,11 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
 
-    def test_paper_solve_trajectories(self, monkeypatch, capsys):
-        # one ivp.rhs call per trajectory; unseeded, shooting took 12 and
-        # the profile 1, and the Hankel alpha as the seed halves shooting's
-        calls, original = [0], ivp.rhs
-
-        def counted(params):
-            calls[0] += 1
-            return original(params)
-        monkeypatch.setattr(ivp, "rhs", counted)
-        assert main(["solve", "--M", "2", "--m", "2", "--s", "1.8"]) == 0
+    def test_paper_solve_trajectories(self, capsys):
+        # one ivp.rhs call per trajectory: shooting seeded with the Hankel
+        # alpha takes 6, and the profile 1
+        with counting_trajectories() as calls:
+            assert main(["solve", "--M", "2", "--m", "2", "--s", "1.8"]) == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
         assert calls[0] <= 7
 
@@ -477,6 +472,8 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["solve", *PAPER, "--tol", "0"],
     ["solve", *PAPER, "--tol", "inf"],
     ["profile", *PAPER, "--stride", "0"],
+    # an infinite stride made a one-row profile, its eta_max row dropped
+    ["profile", *PAPER, "--stride", "inf"],
     ["profile", *PAPER, "--eta-max", "abc"],
     ["profile", *PAPER, "--alpha", "nan"],
     # checked before the N=1 seed, which has no real root here
@@ -490,9 +487,9 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     # --alpha is checked before the N=1 seed, which has no real root here
     ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "nan"],
     ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "inf"],
-], ids=["d", "Dmax", "tol", "tol-inf", "stride", "eta-max", "alpha", "d-before-seed",
-        "scan-d-before-seed", "M-1e400", "M-two", "missing-s",
-        "alpha-before-seed", "alpha-inf-before-seed"])
+], ids=["d", "Dmax", "tol", "tol-inf", "stride", "stride-inf", "eta-max",
+        "alpha", "d-before-seed", "scan-d-before-seed", "M-1e400", "M-two",
+        "missing-s", "alpha-before-seed", "alpha-inf-before-seed"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()

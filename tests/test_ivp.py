@@ -1,6 +1,6 @@
-import contextlib
 import hashlib
 import math
+import random
 import struct
 
 import pytest
@@ -11,7 +11,7 @@ from mhdsheet import (BadBracket, Blowup, ComplexDecay, IntegratorConfig,
                       monotonicity_report, rhs, shoot_refine, solve_general,
                       solve_n1)
 
-from conftest import PAPER_ALPHA, deadline
+from conftest import PAPER_ALPHA, counting_trajectories, deadline
 
 
 class TestRhs:
@@ -154,6 +154,16 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="rows"):
                 IntegratorConfig(eta_max=eta_max, sample_stride=stride)
         assert IntegratorConfig(eta_max=1e6, sample_stride=1.0)
+
+    def test_stride_must_be_positive_and_finite(self, paper_params):
+        # an infinite stride made the grid's first point 0 * inf = nan,
+        # and the profile lost its eta_max row
+        for stride in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="sample_stride"):
+                IntegratorConfig(sample_stride=stride)
+        rows = integrate(paper_params, 4.2, IntegratorConfig(
+            eta_max=2.0, sample_stride=1e308)).rows
+        assert [row[0] for row in rows] == [0.0, 2.0]
 
 
 def rows_digest(rows):
@@ -475,22 +485,6 @@ def reference_bisection(params, bracket):
     return 0.5 * (lo + hi)
 
 
-@contextlib.contextmanager
-def counting_trajectories():
-    """Yield a one-item list holding the number of trajectories (one
-    `ivp.rhs` call each) integrated inside the block."""
-    original, count = ivp.rhs, [0]
-
-    def counted(params):
-        count[0] += 1
-        return original(params)
-    ivp.rhs = counted
-    try:
-        yield count
-    finally:
-        ivp.rhs = original
-
-
 def guided_and_reference(params, bracket):
     """(alpha, trajectories) of shoot_refine, then of reference_bisection."""
     with counting_trajectories() as n:
@@ -513,12 +507,13 @@ BRACKETS = [
 ]
 
 
-# shoot_refine's (alpha, trajectories) on each of BRACKETS, recorded
-# before shooting moved onto the package's one bisection loop
+# shoot_refine's (alpha, trajectories) on each of BRACKETS: the alphas
+# recorded before shooting moved onto the package's one bisection loop,
+# the counts when each side's own secant replaced the Illinois guide
 BRACKET_RECORDS = [
-    (4.204113397002221, 11), (4.204113397002221, 11),
-    (2.3027756348252293, 8), (2.8916046556085346, 15),
-    (4.204113399027497, 11), (3.0532841945263485, 6),
+    (4.204113397002221, 9), (4.204113397002221, 9),
+    (2.3027756348252293, 7), (2.8916046556085346, 9),
+    (4.204113399027497, 9), (3.0532841945263485, 6),
 ]
 
 # (M, m, s) -> (alpha, trajectories) with the shoot-profile benchmark's
@@ -526,14 +521,82 @@ BRACKET_RECORDS = [
 # of that benchmark's first two rounds for seed 1; recorded as above, and
 # (2.19, 1, 1.81) again when the N=2 quartic's constant term took M^2 - m
 # rounded once: its estimate moved from 3.053284199076096 to ...091 (the
-# old bracket keeps its old record in BRACKET_RECORDS)
+# old bracket keeps its old record in BRACKET_RECORDS); the counts
+# re-recorded with the per-side secant
 PROFILE_RECORDS = {
-    (1.73, 0.0, 1.07): (1.5251994437082954, 15),
+    (1.73, 0.0, 1.07): (1.5251994437082954, 8),
     (2.19, 1.0, 1.81): (3.0532842036258385, 7),
-    (1.27, 1.47, 1.97): (3.0241150691500795, 10),
-    (2.61, 0.0, 1.59): (2.478998455298492, 11),
-    (1.79, 1.0, 2.17): (2.92383795262744, 9),
-    (1.67, 0.57, 2.29): (2.198831537158722, 14),
+    (1.27, 1.47, 1.97): (3.0241150691500795, 9),
+    (2.61, 0.0, 1.59): (2.478998455298492, 7),
+    (1.79, 1.0, 2.17): (2.92383795262744, 8),
+    (1.67, 0.57, 2.29): (2.198831537158722, 10),
+}
+
+
+def shoot_profile_points(seed, rounds):
+    """The shoot-profile benchmark's points for `seed`: rounds of one m = 0,
+    one m = 1 and one general m in [0.5, 2.5] point, with M in [1.2, 3]
+    and s in [1, 2.5], each drawn as a two-decimal number whose
+    lowest-terms denominator is 100, as (M, m, s)."""
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        while True:
+            k = rng.randint(round(lo * 100), round(hi * 100))
+            if math.gcd(k, 100) == 1:
+                return float(f"{k // 100}.{k % 100:02d}")
+    return [(draw(1.2, 3.0), m, draw(1.0, 2.5))
+            for _ in range(rounds) for m in (0.0, 1.0, draw(0.5, 2.5))]
+
+
+# the shot alphas at the 24 points of shoot_profile_points(30, 8), on the
+# benchmark's bracket, recorded under the Illinois guide (249
+# trajectories); the per-side secant takes DRAW_TRAJECTORIES
+DRAW_RECORDS = [
+    2.667851822484949, 2.5394839602716246, 2.957945801551022,
+    1.1001060524378263, 2.978940273853002, 4.99194561057727,
+    1.814781896219928, 2.83436200427308, 3.5537178006599954,
+    2.352325091201733, 2.9221799612348356, 4.014619765731103,
+    2.2674728950077254, 2.2611471061846204, 5.377817325696094,
+    2.010530609163414, 2.813834285729519, 4.03706091127243,
+    2.1822541849553927, 3.2429296037733586, 2.4749118316582126,
+    2.2674728950077254, 2.1318255903862253, 4.406790045767231,
+]
+DRAW_TRAJECTORIES = 181
+
+
+def synthetic_shooting(monkeypatch, root, tail):
+    """shoot_refine and reference_bisection on the paper bracket (4.0, 4.4)
+    with `_divergence_side` replaced: the side is +1 above `root` and -1 at or
+    below it, the tail value tail(alpha - root, side). Returns (alpha,
+    trajectories) of each, as guided_and_reference does."""
+    calls = [0]
+
+    def fake_side(params, alpha, eta_max, growth):
+        calls[0] += 1
+        side = 1 if alpha > root else -1
+        return side, tail(alpha - root, side)
+    monkeypatch.setattr(ivp, "_divergence_side", fake_side)
+    alpha = shoot_refine(PAPER, (4.0, 4.4))
+    n = calls[0]
+    ref = reference_bisection(PAPER, (4.0, 4.4))
+    return alpha, n, ref, calls[0] - n
+
+
+# roots for the synthetic tails, drawn inside the bracket (4.0, 4.4)
+SYNTHETIC_ROOTS = [4.0 + 0.4 * random.Random(k).random() for k in range(12)]
+# the most trajectories a kinked linear tail takes at those roots, where
+# bisection takes 28
+KINKED_MAX = 8
+# tail values no guide can use: of the other side's sign, nan, infinite
+# or zero
+ADVERSARIAL_TAILS = {
+    "wrong-sign": lambda d, side: -side * (1.0 + abs(d)),
+    "nan": lambda d, side: math.nan,
+    "inf": lambda d, side: math.inf,
+    "-inf": lambda d, side: -math.inf,
+    "side-inf": lambda d, side: side * math.inf,
+    "zero": lambda d, side: 0.0,
 }
 
 
@@ -559,6 +622,44 @@ class TestGuidedShooting:
         with counting_trajectories() as n:
             alpha = shoot_refine(params, (est - w, est + w))
         assert (alpha, n[0]) == PROFILE_RECORDS[point]
+
+    def test_frozen_draw(self):
+        # 24 benchmark points: the same floats, and fewer trajectories
+        points = shoot_profile_points(30, 8)
+        counts = []
+        for point, record in zip(points, DRAW_RECORDS):
+            with counting_trajectories() as n:
+                alpha = shoot_refine(*profile_bracket(point))
+            assert alpha == record, point
+            counts.append(n[0])
+        assert len(counts) == len(DRAW_RECORDS)
+        assert max(counts) <= 12
+        assert sum(counts) == DRAW_TRAJECTORIES
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.78, 1.0, 1.28, 4.0])
+    def test_kinked_tail(self, ratio, monkeypatch):
+        # u linear on each side of the root with slopes 1 below and
+        # `ratio` above, the kink of the physical tail value (ratio ~1.28
+        # at M = 1.73, m = 0, s = 1.07): bisection's float, in few
+        # trajectories
+        counts = []
+        for root in SYNTHETIC_ROOTS:
+            alpha, n, ref, n_ref = synthetic_shooting(
+                monkeypatch, root, lambda d, side: d * (ratio if side > 0
+                                                        else 1.0))
+            assert alpha == ref
+            counts.append(n)
+        assert max(counts) <= KINKED_MAX
+
+    @pytest.mark.parametrize("tail", list(ADVERSARIAL_TAILS))
+    def test_adversarial_tail(self, tail, monkeypatch):
+        # every tail value unusable: bisection's float, in no more
+        # trajectories than bisection
+        for root in SYNTHETIC_ROOTS:
+            alpha, n, ref, n_ref = synthetic_shooting(
+                monkeypatch, root, ADVERSARIAL_TAILS[tail])
+            assert alpha == ref
+            assert n <= n_ref
 
     def test_paper_bracket_trajectories(self):
         with counting_trajectories() as n:
@@ -647,7 +748,7 @@ SEED_OFFSETS = (0.0, 1e-9, -1e-9, 5e-8, -5e-8, 1e-6, -1e-6, 1e-3, -1e-3)
 
 
 def profile_bracket(point):
-    """The shoot-profile benchmark's bracket at a PROFILE_RECORDS point."""
+    """The shoot-profile benchmark's bracket at an (M, m, s) point."""
     params = ModelParams(*point)
     est = solve_general(params, 4).alpha_est
     w = 0.1 * max(1.0, abs(est))
@@ -685,7 +786,9 @@ class TestSeededShooting:
         check_seeded(*profile_bracket(point))
 
     def test_paper_guess_halves_the_trajectories(self):
-        # the paper solve's bracket and guess, its Hankel alpha
+        # the paper solve's bracket and guess, its Hankel alpha; the seeds
+        # halved the 12 trajectories of the Illinois guide, and the
+        # per-side secant takes 8 unseeded
         alpha_star = 4.204113398591289
         w = 0.05 * alpha_star
         bracket = (alpha_star - w, alpha_star + w)
@@ -693,7 +796,7 @@ class TestSeededShooting:
             shoot_refine(PAPER, bracket)
         with counting_trajectories() as n_seeded:
             shoot_refine(PAPER, bracket, alpha_star)
-        assert (n[0], n_seeded[0]) == (12, 6)
+        assert (n[0], n_seeded[0]) == (8, 6)
 
     @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf])
     def test_nonfinite_guess_rejected(self, guess):
