@@ -81,10 +81,21 @@ def _fmt(x) -> str:
 
 
 def _parse_exact(text: str) -> Fraction:
+    """A decimal or p/q, exactly. Fraction(text) takes seconds to compute
+    10^|e| past an exponent e ~ 10^6, so e is read first and clamped to
+    +-(400 + n) for a text of n characters: a nonzero mantissa lies in
+    10^-n .. 10^n, so a clamped value still overflows a float, or is
+    nonzero and too small for ModelParams."""
+    head, sep, tail = text.replace("E", "e").rpartition("e")
     try:
-        x = Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from e
+        # with the exponent's digits made 0, valid exactly when text is
+        x = Fraction(head + sep + "".join("0" if c.isdecimal() else c
+                                          for c in tail) if sep else text)
+        e = int(tail) if sep else 0
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from err
+    bound = 400 + len(text)
+    x *= Fraction(10) ** min(max(e, -bound), bound)
     if abs(x) > sys.float_info.max:
         raise argparse.ArgumentTypeError(f"does not fit a float: {text!r}")
     return x

@@ -295,21 +295,21 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
               w: float, n: int) -> float:
     """Locate a root of the Hankel determinant near `guess`.
 
-    The scan grid is about n dyadic points across [guess - w, guess + w].
-    A bracket is a point where the sign is 0 or a cell across which it
+    The scan grid is about n dyadic points across [guess - w, guess + w]. A
+    bracket is a point where the sign is 0 or a cell across which it
     changes. Every point and every cell is a candidate, and the candidates
     are walked nearest-first: by the float distance of their midpoint from
-    `guess`, then the lower index, then the point before the cell. The
-    walk signs the grid point nearest `guess` first, then the points of
-    each candidate it reaches, and takes the first candidate that is a
-    bracket: the one that signing the whole grid would choose, usually
-    found after a few points. That bracket is bisected with exact signs at
-    dyadic midpoints (`bisect_sign`, from the sign the walk found at its
-    left end, so no point is signed twice) until its width is <= cfg.tol
-    or the float of its midpoint can move by at most one spacing. Floats
-    are exactly dyadic, so every evaluation point stays an exact rational.
-    Raises NoSignChange when the walk ends without a bracket, the whole
-    grid signed, or when w is 0.
+    `guess`, then the lower index, then the point before the cell. The walk
+    signs the points of each candidate it reaches, from the cell that holds
+    `guess` or the grid point nearest it, and takes the first candidate
+    that is a bracket: the one that signing the whole grid would choose,
+    usually found after a few points. That bracket is bisected with exact
+    signs at dyadic midpoints (`bisect_sign`, from the sign the walk found
+    at its left end, so no point is signed twice) until its width is <=
+    cfg.tol or the float of its midpoint can move by at most one spacing.
+    Floats are exactly dyadic, so every evaluation point stays an exact
+    rational. Raises NoSignChange when the walk ends without a bracket, the
+    whole grid signed, or when w is 0.
     """
     if not 0 <= w < math.inf:  # nan included
         raise ValueError("half-width w must be >= 0 and finite")
@@ -341,7 +341,6 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
     # then the lower index, then the point before the cell
     candidates = sorted((abs(math.ldexp(2 * lo_i + i + k, -g - 1) - guess), i, k)
                         for i in range(n) for k in (i, i + 1) if k < n)
-    sign(round(guess * 2 ** g) - lo_i)
     for _, i, k in candidates:
         if (sign(i) == 0) if k == i else (sign(i) * sign(k) < 0):
             break

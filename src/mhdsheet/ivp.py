@@ -26,8 +26,7 @@ bracket. A continuous tail value from the same trajectory picks which
 node of bisection's tree to integrate next, by the secant through one
 side's two latest trials or else the chord across the bracket, so the
 result is plain bisection's float in fewer trajectories. A guess, such as
-the Hankel alpha, adds two tested points just either side of it before
-that walk, which then needs only a few more. The N=1 decay rate alone
+the Hankel alpha, is that walk's first aim. The N=1 decay rate alone
 sets both the horizon of each trial and the tail growth rate behind that
 value.
 """
@@ -49,8 +48,6 @@ BLOWUP = 1e12
 MAX_ROWS = 10 ** 6
 # shooting's bisection stops once its bracket is at most this wide
 LEAF_WIDTH = 1e-8
-# a shooting guess g is tested at g +- SEED_WIDTH max(1, |g|)
-SEED_WIDTH = 1e-7
 # RK4's fixed step, and RK45's relative and absolute tolerances
 STEP = 1e-3
 REL_TOL = 1e-10
@@ -507,14 +504,10 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     bracket every inferred side is the side bisection would compute, so
     the result is the same float.
 
-    A `guess` (the Hankel alpha in `mhdsheet solve`) seeds the search:
-    after the two ends, which alone decide `BadBracket`, guess - w and
-    then guess + w, w = SEED_WIDTH max(1, |guess|), are tested, each only
-    if it lies strictly inside the tested (a, b), and each replaces a or
-    b by its side. Seeds are tested points like any other, so when
-    the side changes once inside the bracket the result is still plain
-    bisection's float; a good guess leaves the walk a bracket 2 w wide
-    about the answer. A non-finite guess raises ValueError, as a
+    A `guess` inside the bracket (the Hankel alpha in `mhdsheet solve`)
+    is the first aim after the two ends, which alone decide `BadBracket`;
+    its node is a tested point like any other, so the result is still
+    plain bisection's float. A non-finite guess raises ValueError, as a
     non-finite bracket does, before any trajectory."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -543,12 +536,6 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
             prev_a, a, ua = (a, ua), p, u
         else:
             prev_b, b, ub = (b, ub), p, u
-
-    if guess is not None:
-        w = SEED_WIDTH * max(1.0, abs(guess))
-        for p in (guess - w, guess + w):
-            if a < p < b:
-                trial(p)
 
     def usable(u, side):
         # finite, nonzero and of the side's sign (nan fails)
@@ -580,9 +567,11 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
 
     def side_at(mid):
         # a tree midpoint outside the tested (a, b) takes its side from
-        # there; inside, test points until it lies outside
+        # there; inside, test points until it lies outside, the guess first
+        nonlocal guess
         while a < mid < b:
-            x = aim()
+            x = guess if guess is not None and a < guess < b else aim()
+            guess = None
             trial(mid if x is None else tree_point(x))
         return side_lo if mid <= a else side_hi
 

@@ -188,12 +188,12 @@ class TestSolve:
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
 
     def test_paper_solve_trajectories(self, capsys):
-        # one ivp.rhs call per trajectory: shooting seeded with the Hankel
-        # alpha takes 6, and the profile 1
+        # one ivp.rhs call per trajectory: shooting guided first toward
+        # the Hankel alpha takes 4, and the profile 1
         with counting_trajectories() as calls:
             assert main(["solve", "--M", "2", "--m", "2", "--s", "1.8"]) == 0
         assert capsys.readouterr().out == PAPER_SOLVE_STDOUT
-        assert calls[0] <= 7
+        assert calls[0] == 5
 
     def test_prime_denominator_solve_is_frozen(self, capsys):
         # q = 101 lies above every 2D+d the search reaches
@@ -712,6 +712,46 @@ def test_overflowing_parameter_is_named_error(argv, code, message, capsys):
     errors = [l for l in captured.err.splitlines() if "error:" in l]
     assert len(errors) == 1
     assert message in errors[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--M", "1e9999999", "--m", "2", "--s", "1.8"], "does not fit a float"),
+    (["--M", "2", "--m", "2", "--s", "1e-9999999"],
+     "error: parameter s is past the float range"),
+], ids=["M-1e9999999", "s-1e-9999999"])
+def test_huge_exponent_is_read_from_the_text(argv, message, capsys):
+    # Fraction("1e9999999") computes 10^9999999: parsing took ~11 s
+    with deadline(2):
+        assert main(["solve", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [l for l in captured.err.splitlines() if "error:" in l]
+    assert len(errors) == 1
+    assert message in errors[0]
+
+
+def test_scan_huge_exponent_end_is_usage_error(monkeypatch, capsys):
+    def never(params, cfg, seed):
+        raise AssertionError("alpha_sequence ran before the grid check")
+    monkeypatch.setattr(hankel, "alpha_sequence", never)
+    with deadline(2):
+        code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
+                     "s", "--start", "1e9999999", "--stop", "2", "--count", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "does not fit a float" in lines[0]
+
+
+def test_zero_with_huge_exponent_is_zero(capsys):
+    # a valid 0, whose Fraction took 9.5 s
+    with deadline(2):
+        code = main(["solve", "--M", "0e9999999", "--m", "2", "--s", "1.8"])
+    out = capsys.readouterr().out
+    assert main(["solve", "--M", "0", "--m", "2", "--s", "1.8"]) == code
+    assert capsys.readouterr().out == out
 
 
 def test_subnormal_decay_rate_is_named_error(capsys):

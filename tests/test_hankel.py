@@ -836,7 +836,8 @@ class TestAlphaSequence:
                                                    monkeypatch):
         # every (D, alpha, sign) that det_sign_at answers in the sequence
         # above: SHA-256 of the repr of the list of (D, numerator,
-        # denominator, sign)
+        # denominator, sign), sorted (which points are signed) and in the
+        # order they are signed
         signs = []
         real = hankel.det_sign_at
 
@@ -849,8 +850,10 @@ class TestAlphaSequence:
         alpha_sequence(paper_params, HankelConfig(D_max=30),
                        solve_n1(paper_params).beta)
         assert len(signs) == 195
+        assert hashlib.sha256(repr(sorted(signs)).encode()).hexdigest() == (
+            "8a3218757bfde18b1d75d7060ac5cf17193845fb15a1277c8fa1da6df16e63e1")
         assert hashlib.sha256(repr(signs).encode()).hexdigest() == (
-            "d2e3320b87ce821d2f8954eb63624f258e555c75d68deb4a44fac9b3fdc9d926")
+            "6009ead66173cc0be83dcdc284ea03fb688842fb316db19f225cb722182b3b27")
 
     def test_denominator_100_sequence_is_frozen(self):
         # M^2 = 17161/10^4, s = 129/100: q = 10^4, so the entries carry

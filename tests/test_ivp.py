@@ -741,9 +741,7 @@ class TestGuidedShooting:
         assert ivp._divergence_side(PAPER, 4.4, 1e3, growth) == (1, math.inf)
 
 
-# guesses about the shot value alpha, as offsets in units of max(1, |alpha|):
-# the seeds guess -+ 1e-7 max(1, |guess|) straddle alpha for the first
-# five and both lie on one side of it for the rest
+# guesses about the shot value alpha, as offsets in units of max(1, |alpha|)
 SEED_OFFSETS = (0.0, 1e-9, -1e-9, 5e-8, -5e-8, 1e-6, -1e-6, 1e-3, -1e-3)
 
 
@@ -757,20 +755,23 @@ def profile_bracket(point):
 
 def check_seeded(params, bracket):
     """shoot_refine with each guess of SEED_OFFSETS and one past the
-    bracket gives plain bisection's float, in no more trajectories than
-    without a guess whenever its seeds straddle that float; the guess past
-    the bracket tests no seed."""
+    bracket gives plain bisection's float. A guess takes at most 2 more
+    trajectories than none, none more within 1e-6 max(1, |alpha|) of the
+    float, and at most 5 within 1e-9 of it; the guess past the bracket
+    tests nothing extra."""
     ref = reference_bisection(params, bracket)
     with counting_trajectories() as n:
         assert shoot_refine(params, bracket) == ref
     unseeded = n[0]
     scale = max(1.0, abs(ref))
-    for guess in [ref + k * scale for k in SEED_OFFSETS]:
+    for k in SEED_OFFSETS:
         with counting_trajectories() as n:
-            assert shoot_refine(params, bracket, guess) == ref
-        w = ivp.SEED_WIDTH * max(1.0, abs(guess))
-        if guess - w < ref < guess + w:
+            assert shoot_refine(params, bracket, ref + k * scale) == ref
+        assert n[0] <= unseeded + 2
+        if abs(k) <= 1e-6:
             assert n[0] <= unseeded
+        if abs(k) <= 1e-9:
+            assert n[0] <= 5
     with counting_trajectories() as n:
         assert shoot_refine(params, bracket, max(bracket) + scale) == ref
     assert n[0] == unseeded
@@ -785,10 +786,10 @@ class TestSeededShooting:
     def test_profile_points(self, point):
         check_seeded(*profile_bracket(point))
 
-    def test_paper_guess_halves_the_trajectories(self):
-        # the paper solve's bracket and guess, its Hankel alpha; the seeds
-        # halved the 12 trajectories of the Illinois guide, and the
-        # per-side secant takes 8 unseeded
+    def test_paper_guess_is_the_first_aim(self):
+        # the paper solve's bracket and guess, its Hankel alpha: the
+        # per-side secant takes 8 trajectories unguessed, and with the
+        # guess as its first aim 4, the two ends and two more
         alpha_star = 4.204113398591289
         w = 0.05 * alpha_star
         bracket = (alpha_star - w, alpha_star + w)
@@ -796,7 +797,25 @@ class TestSeededShooting:
             shoot_refine(PAPER, bracket)
         with counting_trajectories() as n_seeded:
             shoot_refine(PAPER, bracket, alpha_star)
-        assert (n[0], n_seeded[0]) == (8, 6)
+        assert (n[0], n_seeded[0]) == (8, 4)
+
+    def test_guess_in_a_leaf_bracket_tests_only_the_ends(self):
+        # a bracket no wider than LEAF_WIDTH has no tree node to aim at:
+        # the guess inside it is never tested, so only the ends are
+        alpha_star = 4.204113398591289
+        bracket = (alpha_star - 4e-9, alpha_star + 4e-9)
+        unguessed = shoot_refine(PAPER, bracket)
+        with counting_trajectories() as n:
+            assert shoot_refine(PAPER, bracket, alpha_star) == unguessed
+        assert n[0] == 2
+
+    @pytest.mark.parametrize("guess", [4.0, 4.4])
+    def test_guess_at_a_bracket_end_tests_nothing_extra(self, guess):
+        with counting_trajectories() as n:
+            unguessed = shoot_refine(PAPER, (4.0, 4.4))
+        with counting_trajectories() as n_guessed:
+            assert shoot_refine(PAPER, (4.0, 4.4), guess) == unguessed
+        assert n_guessed[0] == n[0]
 
     @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf])
     def test_nonfinite_guess_rejected(self, guess):
