@@ -565,6 +565,32 @@ DRAW_RECORDS = [
 DRAW_TRAJECTORIES = 181
 
 
+# the number and the SHA-256 of the ordered alphas (little-endian doubles)
+# that shoot_refine passes to `_divergence_side` on each set of shots:
+# the records above pin how many trials run, these which alphas they test
+TRIAL_ORDER_RECORDS = {
+    "draw": (181, "15a8e28f451fbc233ef9645f9609e4b8"
+                  "8baebb3f604500f88ce8e01be7de2d94"),
+    "brackets": (49, "79ea71f58b5f04e361d6239cd36f2983"
+                     "cf54ae76b6f77aa355b729e6f7d0a58f"),
+    "paper-guess": (4, "f6cbf24f3154aecceeee39e6df63e1b7"
+                       "0651fccf711f40a7dd9d1f39f05b6b2e"),
+}
+
+
+def trial_order_shots(name):
+    """The shoot_refine argument tuples of one TRIAL_ORDER_RECORDS set; the
+    paper solve's shot is alpha_star +- 5% with alpha_star, its Hankel
+    alpha, as the guess."""
+    if name == "draw":
+        return [profile_bracket(p) for p in shoot_profile_points(30, 8)]
+    if name == "brackets":
+        return BRACKETS
+    alpha_star = 4.204113398591289
+    w = 0.05 * alpha_star
+    return [(PAPER, (alpha_star - w, alpha_star + w), alpha_star)]
+
+
 def synthetic_shooting(monkeypatch, root, tail):
     """shoot_refine and reference_bisection on the paper bracket (4.0, 4.4)
     with `_divergence_side` replaced: the side is +1 above `root` and -1 at or
@@ -635,6 +661,21 @@ class TestGuidedShooting:
         assert len(counts) == len(DRAW_RECORDS)
         assert max(counts) <= 12
         assert sum(counts) == DRAW_TRAJECTORIES
+
+    @pytest.mark.parametrize("name", list(TRIAL_ORDER_RECORDS))
+    def test_trial_order(self, name, monkeypatch):
+        # the same alphas tested in the same order, not only as many
+        alphas, original = [], ivp._divergence_side
+
+        def spy(params, alpha, eta_max, growth):
+            alphas.append(alpha)
+            return original(params, alpha, eta_max, growth)
+        monkeypatch.setattr(ivp, "_divergence_side", spy)
+        for shot in trial_order_shots(name):
+            shoot_refine(*shot)
+        digest = hashlib.sha256(b"".join(struct.pack("<d", a)
+                                         for a in alphas)).hexdigest()
+        assert (len(alphas), digest) == TRIAL_ORDER_RECORDS[name]
 
     @pytest.mark.parametrize("ratio", [0.25, 0.78, 1.0, 1.28, 4.0])
     def test_kinked_tail(self, ratio, monkeypatch):
