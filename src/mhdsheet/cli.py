@@ -101,16 +101,6 @@ def _parse_exact(text: str) -> Fraction:
     return x
 
 
-def _parse_finite(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from e
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
-    return x
-
-
 def _params(args) -> ModelParams:
     return _checked(ModelParams, M=args.M, m=args.m, s=args.s)
 
@@ -226,6 +216,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    alpha = None if args.alpha is None else float(args.alpha)
+    if args.alpha and not alpha:  # nonzero, but its float is 0
+        raise UsageError("--alpha is past the float range")
     try:
         eta_max = None if args.eta_max == "auto" else float(args.eta_max)
     except ValueError:
@@ -234,7 +227,7 @@ def cmd_profile(args) -> int:
     # checked before the Hankel sequence, which takes seconds
     icfg = _checked(ivp.IntegratorConfig, eta_max=eta_max,
                     sample_stride=args.stride)
-    run = _run(_params(args), _hankel_config(args), icfg, args.alpha)
+    run = _run(_params(args), _hankel_config(args), icfg, alpha)
     if run.error:
         raise run.error
     lines = ["eta,fp_numeric,fp_ansatz1,fp_ansatz2"]
@@ -262,13 +255,14 @@ def cmd_scan(args) -> int:
                 else start)
     # every point in the float range, before any point runs: no interior
     # point can overflow, and none lies nearer 0 than the one or two points
-    # about the grid's zero crossing, so those and both ends are checked
-    checked = {0, count - 1}
+    # about the grid's zero crossing, so those are checked with the values
+    # start and stop (stop too when --count 1 puts no point there)
+    checked = [start, stop]
     if start * stop < 0:
         t = start * (count - 1) / (start - stop)  # the crossing's index
-        checked |= {math.floor(t), math.ceil(t)}
-    for i in sorted(checked):
-        _checked(ModelParams, **{**base, args.sweep: value(i)})
+        checked += [value(math.floor(t)), value(math.ceil(t))]
+    for v in checked:
+        _checked(ModelParams, **{**base, args.sweep: v})
 
     lines = ["sweep_param,value,alpha_hankel,alpha_ansatz1,alpha_ansatz2,"
              "monotone,status"]
@@ -312,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="CSV profile of f'(eta)")
     _add_common_flags(p)
-    p.add_argument("--alpha", type=_parse_finite, default=None,
-                   help="use this f''(0) instead of solving for it")
+    p.add_argument("--alpha", type=_parse_exact, default=None,
+                   help="use this f''(0) instead of solving for it "
+                        "(decimal or p/q)")
     p.add_argument("--eta-max", dest="eta_max", default="auto",
                    help="integration endpoint, decimal or 'auto'")
     p.add_argument("--stride", type=float,

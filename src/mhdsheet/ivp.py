@@ -21,14 +21,14 @@ lookup, which also builds its rows: the dense output for RK45, a
 re-integration from the sample below for RK4.
 
 Shooting (`shoot_refine`) finds the alpha at which the trajectory's
-divergence side flips, on the same loop. Only that exact side decides the
-bracket. A continuous tail value from the same trajectory picks which
-node of bisection's tree to integrate next, by the secant through one
-side's two latest trials or else the chord across the bracket, so the
-result is plain bisection's float in fewer trajectories. A guess, such as
-the Hankel alpha, is that walk's first aim. The N=1 decay rate alone
-sets both the horizon of each trial and the tail growth rate behind that
-value.
+divergence side flips. Only that exact side decides the bracket. One loop
+tests the nodes of bisection's tree whose side is not yet settled, picked
+by a continuous tail value from the same trajectory: the secant through
+one side's two latest trials or else the chord across the bracket, with
+a guess, such as the Hankel alpha, as the first aim. Then the same
+bisection loop gives plain bisection's float in fewer trajectories. The
+N=1 decay rate alone sets both the horizon of each trial and the tail
+growth rate behind that value.
 """
 
 from __future__ import annotations
@@ -485,22 +485,24 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     N=1 rate the ComplexDecay of `ansatz.solve_n1` propagates.
 
     The result is the one plain bisection on the side would return: the
-    midpoint of its final leaf. It runs `bisect_sign` on the bracket, and
-    only the order of the work differs. The search keeps the tested
-    points a < b nearest the sign change. A tree midpoint outside (a, b)
-    takes its side from a or b without a trajectory. A midpoint inside
-    needs a test. The point tested is predicted from the tail value u of
-    `_divergence_side` and rounded to the deepest node inside (a, b) on
-    the tree path toward it (one more `bisect_sign` walk from the
-    bracket). u is linear in alpha on each side of the root, but with
-    another slope on each side (the divergence is nonlinear), so a chord
-    across the root gains only a constant factor per trial. Each side
-    therefore keeps its tested point before a or b, and where that pair
-    spans at most half of b - a (the tighter pair, if both do), its
-    secant's zero is the prediction, if it lies inside (a, b). Else the
-    chord through (a, ua) and (b, ub) predicts; without a usable u (a
-    non-finite or zero u, or one whose sign is not the side) the test
-    is the midpoint itself. When the side changes once inside the
+    midpoint of its final leaf. The search keeps the tested points a < b
+    nearest the sign change; a tree midpoint outside (a, b) takes its
+    side from a or b without a trajectory. One loop tests a point while
+    bisection's path from the bracket has a midpoint inside (a, b), and
+    moves a or b. The first such midpoint is on the path toward every
+    point of (a, b), so the point tested is predicted from the tail value
+    u of `_divergence_side` and rounded to the deepest midpoint inside
+    (a, b) on the path toward it (a `bisect_sign` walk from the bracket).
+    u is linear in alpha on each side of the root, but with another slope
+    on each side (the divergence is nonlinear), so a chord across the
+    root gains only a constant factor per trial. Each side therefore
+    keeps its tested point before a or b, and where that pair spans at
+    most half of b - a (the tighter pair, if both do), its secant's zero
+    is the prediction, if it lies inside (a, b). Else the chord through
+    (a, ua) and (b, ub) predicts; without a usable u (a non-finite or
+    zero u, or one whose sign is not the side) the test is the first
+    inside midpoint. Then one `bisect_sign` on the bracket, each side
+    read from a, gives the leaf. When the side changes once inside the
     bracket every inferred side is the side bisection would compute, so
     the result is the same float.
 
@@ -527,15 +529,6 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     a, b = lo, hi
     # each side's tested point before its end (a or b), with its raw u
     prev_a = prev_b = None
-
-    def trial(p):
-        # test p and make it the end on its side
-        nonlocal a, b, ua, ub, prev_a, prev_b
-        side, u = _divergence_side(params, p, eta_max, growth)
-        if side == side_lo:
-            prev_a, a, ua = (a, ua), p, u
-        else:
-            prev_b, b, ub = (b, ub), p, u
 
     def usable(u, side):
         # finite, nonzero and of the side's sign (nan fails)
@@ -565,28 +558,30 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
             return min(max(x, math.nextafter(a, b)), math.nextafter(b, a))
         return None
 
-    def side_at(mid):
-        # a tree midpoint outside the tested (a, b) takes its side from
-        # there; inside, test points until it lies outside, the guess first
-        nonlocal guess
-        while a < mid < b:
-            x = guess if guess is not None and a < guess < b else aim()
-            guess = None
-            trial(mid if x is None else tree_point(x))
-        return side_lo if mid <= a else side_hi
+    def toward(m):
+        # one step of bisection's path from the bracket toward target, a
+        # point of [a, b): a midpoint outside (a, b) steps the way its side,
+        # inferred from a or b, does; each one inside is recorded
+        if a < m < b:
+            inside.append(m)
+        return 1 if target < m else -1
 
-    def tree_point(x):
-        # the deepest midpoint inside (a, b) on bisection's path from the
-        # bracket toward x; the path passes the node whose midpoint
-        # side_at was asked for, which lies in (a, b)
-        inside = []
-
-        def toward_x(m):
-            if a < m < b:
-                inside.append(m)
-            return 1 if x < m else -1
-        bisect_sign(toward_x, lo, hi, -1, LEAF_WIDTH)
-        return inside[-1]
-
-    leaf = bisect_sign(side_at, lo, hi, side_lo, LEAF_WIDTH)
+    while True:
+        # the guess is the first aim. Every target in [a, b) meets the same
+        # first midpoint inside (a, b): the one plain bisection tests next
+        x = guess if guess is not None and a < guess < b else aim()
+        guess, inside = None, []
+        target = a if x is None else x
+        bisect_sign(toward, lo, hi, -1, LEAF_WIDTH)
+        if not inside:
+            break
+        # the deepest inside midpoint toward the aim, or without one the first
+        p = inside[0] if x is None else inside[-1]
+        side, u = _divergence_side(params, p, eta_max, growth)
+        if side == side_lo:
+            prev_a, a, ua = (a, ua), p, u
+        else:
+            prev_b, b, ub = (b, ub), p, u
+    # no midpoint on bisection's path lies inside (a, b) now
+    leaf = bisect_sign(lambda m: -1 if m <= a else 1, lo, hi, -1, LEAF_WIDTH)
     return (leaf[0] + leaf[1]) / 2

@@ -487,9 +487,12 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     # --alpha is checked before the N=1 seed, which has no real root here
     ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "nan"],
     ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "inf"],
+    # nonzero, but its float is 0: it printed the alpha = 0 profile
+    ["profile", *PAPER, "--alpha", "1e-400"],
 ], ids=["d", "Dmax", "tol", "tol-inf", "stride", "stride-inf", "eta-max",
         "alpha", "d-before-seed", "scan-d-before-seed", "M-1e400", "M-two",
-        "missing-s", "alpha-before-seed", "alpha-inf-before-seed"])
+        "missing-s", "alpha-before-seed", "alpha-inf-before-seed",
+        "alpha-tiny"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -550,6 +553,23 @@ def test_scan_interior_point_past_float_range_is_usage_error(monkeypatch,
         code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
                      "s", "--start=-1e-320", "--stop", "1.00001e-320",
                      "--count", "3", "--Dmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: parameter s is past the float range\n"
+
+
+def test_scan_stop_of_one_point_past_float_range_is_usage_error(monkeypatch,
+                                                                capsys):
+    # --count 1 puts no point at --stop: 1e-400 passed unread, exit 0 with
+    # one row, while --stop 1e9999999 was a usage error
+    def never(params, cfg, seed):
+        raise AssertionError("alpha_sequence ran before the grid check")
+    monkeypatch.setattr(hankel, "alpha_sequence", never)
+    with deadline(5):
+        code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
+                     "s", "--start", "1.8", "--stop", "1e-400", "--count",
+                     "1", "--Dmax", "8"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
