@@ -49,8 +49,8 @@ STOP_ERRORS = (ansatz.ComplexDecay, hankel.NoSignChange, ivp.Blowup,
 
 class UsageError(Exception):
     """A command line that argparse rejects, a flag value outside the
-    bound that its config class or `ivp.integrate` enforces, or an output
-    that cannot be written."""
+    bound that its config class enforces, or an output that cannot be
+    written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,7 +172,7 @@ def _run(params: ModelParams, hcfg: hankel.HankelConfig,
         if alpha is None:
             run.seq = hankel.alpha_sequence(params, hcfg, run.a1.beta)
             alpha = run.seq.alpha_star
-        run.prof = _checked(ivp.integrate, params, alpha, icfg)
+        run.prof = ivp.integrate(params, alpha, icfg)
     except STOP_ERRORS as e:
         run.error = e
     return run
@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
         w = 0.05 * max(1.0, abs(seq.alpha_star))
         alpha_shooting = _num(ivp.shoot_refine(
             params, (seq.alpha_star - w, seq.alpha_star + w), seq.alpha_star))
-    except (ivp.BadBracket, ivp.Blowup, ivp.StepUnderflow) as e:
+    except (ivp.BadBracket, ivp.StepUnderflow) as e:
         alpha_shooting = None
         warnings.append(f"shooting: {type(e).__name__}: {e}")
 
@@ -254,13 +254,14 @@ def cmd_scan(args) -> int:
         return (start + (stop - start) * Fraction(i, count - 1) if count > 1
                 else start)
     # every point in the float range, before any point runs: no interior
-    # point can overflow, and none lies nearer 0 than the one or two points
-    # about the grid's zero crossing, so those are checked with the values
-    # start and stop (stop too when --count 1 puts no point there)
+    # point can overflow, and no nonzero one lies nearer 0 than the nearest
+    # on each side of the zero crossing, past a point at 0, so those are
+    # checked with start and stop (stop too when --count 1 has no point there)
     checked = [start, stop]
-    if start * stop < 0:
+    if start * stop <= 0 and start != stop:
         t = start * (count - 1) / (start - stop)  # the crossing's index
-        checked += [value(math.floor(t)), value(math.ceil(t))]
+        checked += [value(i) for i in (math.ceil(t) - 1, math.floor(t) + 1)
+                    if 0 <= i < count]
     for v in checked:
         _checked(ModelParams, **{**base, args.sweep: v})
 

@@ -12,9 +12,9 @@ RK45 (coefficients, error norm, step controller, initial step), so it
 takes scipy's steps, up to the rounding of its sums: numpy's dot
 products may fuse multiply-adds. It stops where one stop function of the
 state rises through 0, located on the step's dense output as a terminal
-scipy event is, and builds a step's dense output only where a sample, an
-extremum or the stop needs it. Profiles carry extrema of f' (sign
-changes of f'' between samples), so an interior maximum shows directly.
+scipy event is. A profile builds every step's dense output, a shot only
+the stop's. Profiles carry extrema of f' (sign changes of f'' between
+samples), so an interior maximum shows directly.
 The package's one bisection loop, `_bisection.bisect_sign`, locates both
 the stop and these extrema, the latter on the profile's one state
 lookup, which also builds its rows: the dense output for RK45, a
@@ -25,10 +25,10 @@ divergence side flips. Only that exact side decides the bracket. One loop
 tests the nodes of bisection's tree whose side is not yet settled, picked
 by a continuous tail value from the same trajectory: the secant through
 one side's two latest trials or else the chord across the bracket, with
-a guess, such as the Hankel alpha, as the first aim. Then the same
-bisection loop gives plain bisection's float in fewer trajectories. The
-N=1 decay rate alone sets both the horizon of each trial and the tail
-growth rate behind that value.
+a guess, such as the Hankel alpha, as the first aim. The walk that finds
+no such node ends in plain bisection's leaf: its float, in fewer
+trajectories. The N=1 decay rate alone sets both the horizon of each
+trial and the tail growth rate behind that value.
 """
 
 from __future__ import annotations
@@ -407,13 +407,11 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
             raise Blowup(f"|f''| exceeded {level:g} at eta={eta_b:g}",
                          eta=eta_b, state=y_b)
         ends = [step[1] for step in steps]
-        pieces = {}
+        pieces = [_interpolant(step) for step in steps]
 
         def state_at(t):
             # the step whose interval (t_old, t] holds t
             i = min(bisect.bisect_left(ends, t), len(steps) - 1)
-            if i not in pieces:
-                pieces[i] = _interpolant(steps[i])
             return pieces[i](t)
     for t in grid[1:]:
         rows.append((t, *state_at(t)))
@@ -481,8 +479,7 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
 
     The N=1 decay rate beta sets both the horizon and the guide. Each
     trial integrates to 3 `auto_eta_max` = 3 (10 / beta), three times the
-    profile's auto eta_max: divergence needs room to show. Without a real
-    N=1 rate the ComplexDecay of `ansatz.solve_n1` propagates.
+    profile's auto eta_max: divergence needs room to show.
 
     The result is the one plain bisection on the side would return: the
     midpoint of its final leaf. The search keeps the tested points a < b
@@ -501,16 +498,18 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
     is the prediction, if it lies inside (a, b). Else the chord through
     (a, ua) and (b, ub) predicts; without a usable u (a non-finite or
     zero u, or one whose sign is not the side) the test is the first
-    inside midpoint. Then one `bisect_sign` on the bracket, each side
-    read from a, gives the leaf. When the side changes once inside the
-    bracket every inferred side is the side bisection would compute, so
-    the result is the same float.
+    inside midpoint. The loop ends at the first walk that meets no
+    midpoint inside (a, b), and returns the midpoint of that walk's leaf.
+    When the side changes once inside the bracket every inferred side is
+    the side bisection would compute, so the result is the same float.
 
     A `guess` inside the bracket (the Hankel alpha in `mhdsheet solve`)
     is the first aim after the two ends, which alone decide `BadBracket`;
     its node is a tested point like any other, so the result is still
-    plain bisection's float. A non-finite guess raises ValueError, as a
-    non-finite bracket does, before any trajectory."""
+    plain bisection's float. Raises BadBracket, StepUnderflow when a
+    trajectory cannot advance, the ComplexDecay of `ansatz.solve_n1`
+    without a real N=1 rate, and ValueError for a non-finite bracket or
+    guess, before any trajectory."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket must be finite")
@@ -572,9 +571,10 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
         x = guess if guess is not None and a < guess < b else aim()
         guess, inside = None, []
         target = a if x is None else x
-        bisect_sign(toward, lo, hi, -1, LEAF_WIDTH)
+        leaf = bisect_sign(toward, lo, hi, -1, LEAF_WIDTH)
         if not inside:
-            break
+            # no path midpoint lies inside (a, b): plain bisection's leaf
+            return (leaf[0] + leaf[1]) / 2
         # the deepest inside midpoint toward the aim, or without one the first
         p = inside[0] if x is None else inside[-1]
         side, u = _divergence_side(params, p, eta_max, growth)
@@ -582,6 +582,3 @@ def shoot_refine(params: ModelParams, bracket: tuple[float, float],
             prev_a, a, ua = (a, ua), p, u
         else:
             prev_b, b, ub = (b, ub), p, u
-    # no midpoint on bisection's path lies inside (a, b) now
-    leaf = bisect_sign(lambda m: -1 if m <= a else 1, lo, hi, -1, LEAF_WIDTH)
-    return (leaf[0] + leaf[1]) / 2

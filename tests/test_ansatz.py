@@ -302,6 +302,19 @@ class TestGeneral:
             solve_general(paper_params, 4)
         assert calls[0] > 1
 
+    def test_negative_beta_is_no_convergence(self, paper_params,
+                                             monkeypatch):
+        # seeded at the N=1 closed form's other root, beta ~ -0.4891,
+        # Newton converges there at once, to a root that does not decay
+        m, s = paper_params.m, paper_params.s
+        disc = 4 * (paper_params.M2 - m) + (m * s) ** 2
+        beta = (m * s - math.sqrt(disc)) / 2
+        monkeypatch.setattr(ansatz, "solve_n1", lambda params: ansatz._finish(
+            params, beta, [s - 1 / beta, 1 / beta]))
+        with pytest.raises(NoConvergence,
+                           match=r"converged to nonphysical beta -0\.489"):
+            solve_general(paper_params, 1)
+
     def test_reproduces_n2_at_N2(self, paper_params):
         direct = solve_n2(paper_params)
         newton = solve_general(paper_params, 2)

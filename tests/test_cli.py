@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mhdsheet
 from mhdsheet import (HankelConfig, ModelParams, ansatz, cli, hankel, ivp,
@@ -557,6 +560,56 @@ def test_scan_interior_point_past_float_range_is_usage_error(monkeypatch,
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: parameter s is past the float range\n"
+
+
+@pytest.mark.parametrize("start,stop,count", [
+    ("0", "1e-320", "10000"), ("1e-320", "0", "10000"),
+    ("-1e-320", "1e-320", "10001")])
+def test_scan_point_next_to_an_exact_zero_past_float_range_is_usage_error(
+        start, stop, count, monkeypatch, capsys):
+    # a grid point exactly at 0 hid its neighbours ~1e-324, whose floats
+    # are 0, from the check: 1, 9997 or 4999 points ran before the scan
+    # stopped, the 9997 each with s over a denominator of ~10^324
+    def never(params, cfg, seed):
+        raise AssertionError("alpha_sequence ran before the grid check")
+    monkeypatch.setattr(hankel, "alpha_sequence", never)
+    with deadline(5):
+        code = main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
+                     "s", f"--start={start}", "--stop", stop, "--count",
+                     count])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: parameter s is past the float range\n"
+
+
+@settings(deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 30))
+def test_scan_about_zero_checks_every_point_first(start, stop, count):
+    # ends a few smallest subnormals (~4.9e-324) from 0: the scan stops
+    # before any point runs, or every point is in the float range
+    points = []
+
+    def run(params, hcfg, icfg):
+        points.append(params)
+        return cli._Run()
+    argv = ["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep", "s",
+            f"--start={start}e-324", f"--stop={stop}e-324",
+            "--count", str(count)]
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        mp.setattr(cli, "_run", run)
+        code = main(argv)
+    assert (code, len(points)) in ((1, 0), (0, count))
+
+
+def test_scan_of_zeros_runs(monkeypatch, capsys):
+    # start == stop == 0 has no zero crossing to locate
+    monkeypatch.setattr(cli, "_run", lambda params, hcfg, icfg: cli._Run())
+    assert main(["scan", "--M", "2", "--m", "2", "--s", "1.8", "--sweep",
+                 "s", "--start", "0", "--stop", "0", "--count", "3"]) == 0
+    assert capsys.readouterr().out.count("\ns,0,") == 3
 
 
 def test_scan_stop_of_one_point_past_float_range_is_usage_error(monkeypatch,

@@ -342,6 +342,30 @@ class TestStateLength:
         assert calls == []
 
 
+class TestDopriLimits:
+    def test_zero_derivative_starts_at_the_floor_step(self):
+        # the initial step's d1 and d2 are 0: its power-law estimate would
+        # divide by zero, so the first step is max(1e-6, 1e-3 h0) = 1e-6,
+        # and each zero-error step after it grows tenfold
+        steps = []
+        assert ivp._dopri(lambda t, y: (0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 1.0,
+                          lambda y: -1.0, steps) == (1.0, (1.0, 2.0, 3.0),
+                                                     False)
+        assert [step[1] for step in steps][:2] == [1e-6, 1.1e-5]
+
+    def test_finite_time_blowup_is_step_underflow(self):
+        # y' = y^2 from y = 1 is 1 / (1 - t): short of t = 1 the
+        # controller's step falls below 10 ulp(t) and is lifted to it, and
+        # the run raises once a lifted step fails. Recorded: it accepts
+        # 1170 steps, and 1168 without the lift
+        steps = []
+        with deadline(5), pytest.raises(ivp.StepUnderflow):
+            ivp._dopri(lambda t, y: (y[0] * y[0], 0.0, 0.0), (1.0, 0.0, 0.0),
+                       2.0, lambda y: -1.0, steps)
+        assert len(steps) == 1170
+        assert 0.999 < steps[-1][1] < 1.0
+
+
 class TestExtrema:
     def test_synthetic_interior_maximum(self):
         # feed _refine_extrema a profile built from a known function:
