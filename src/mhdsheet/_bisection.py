@@ -4,7 +4,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 
 def bisect_sign(g: Callable, a, b, ga, width):

@@ -16,7 +16,7 @@ boundary rows plus R_1 .. R_N = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 
@@ -46,18 +46,19 @@ class NoConvergence(Exception):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class AnsatzSolution:
-    N: int
-    beta: float
-    b: tuple[float, ...]  # b_0 .. b_N
-    alpha_est: float      # beta^2 * sum j^2 b_j = implied f''(0)
-    residual_norm: float  # max |R_j|, j = 1..N
+class AnsatzSolution(namedtuple("AnsatzSolution",
+                                "N beta b alpha_est residual_norm")):
+    """The order N, decay rate beta, coefficients b = (b_0 .. b_N),
+    alpha_est = beta^2 sum j^2 b_j (the implied f''(0)) and residual_norm
+    = max |R_j|, j = 1..N."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResidualModes:
-    R: tuple[float, ...]  # R_1 .. R_{2N}
+class ResidualModes(namedtuple("ResidualModes", "R")):
+    """R = (R_1 .. R_{2N})."""
+
+    __slots__ = ()
 
 
 def _modes(params: ModelParams, beta: float, b) -> list[float]:

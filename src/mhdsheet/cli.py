@@ -12,7 +12,7 @@ ansatz solutions, the Hankel alpha from the sequence seeded with the N=1
 beta (unless `profile --alpha` gives it), the profile integrated from
 that alpha and the `STOP_ERRORS` member that stopped it, if any. The
 Hankel flags --d, --Dmax and --tol are exactly `hankel.HankelConfig`, and
-profile's --stride defaults to `ivp.IntegratorConfig.sample_stride`.
+profile's --stride defaults to the stride of `ivp.IntegratorConfig()`.
 
 Output is deterministic: 12 significant digits, lowercase JSON keys, LF
 line endings. Exit codes: 0 success/converged, 1 usage or I/O error
@@ -34,9 +34,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from . import ansatz, hankel, ivp
 from .model import ModelParams
@@ -114,19 +112,20 @@ def _hankel_config(args) -> hankel.HankelConfig:
 
 def _add_common_flags(p):
     """Parameters, Hankel flags and --out, shared by every subcommand."""
+    default = hankel.HankelConfig()
     p.add_argument("--M", type=_parse_exact, required=True,
                    help="Hartmann number (decimal or p/q)")
     p.add_argument("--m", type=_parse_exact, required=True,
                    help="model parameter m (decimal or p/q)")
     p.add_argument("--s", type=_parse_exact, required=True,
                    help="suction parameter (decimal or p/q)")
-    p.add_argument("--d", type=int, default=hankel.HankelConfig.d,
+    p.add_argument("--d", type=int, default=default.d,
                    help="Hankel offset: entries F_{i+j+d} = f^(i+j+d)(0), i.e. "
                         "H_D^(d+1) in Hankel-Pade notation; -1 (default) "
-                        "starts at F_1 = f'(0)")
-    p.add_argument("--Dmax", type=int, default=hankel.HankelConfig.D_max,
+                        "starts at F_1 = f'(0); at most --Dmax")
+    p.add_argument("--Dmax", type=int, default=default.D_max,
                    help="maximum Hankel dimension")
-    p.add_argument("--tol", type=float, default=hankel.HankelConfig.tol,
+    p.add_argument("--tol", type=float, default=default.tol,
                    help="bisection tolerance on alpha")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -145,26 +144,22 @@ def _max_dev(sol: ansatz.AnsatzSolution, prof: ivp.Profile) -> float:
                     for r in prof.rows if r[0] <= 5.0))
 
 
-@dataclass
 class _Run:
-    """The pipeline's stage outputs; a stage that did not run leaves None."""
-    a1: Optional[ansatz.AnsatzSolution] = None
-    a2: Optional[ansatz.AnsatzSolution] = None
-    a2_error: Optional[Exception] = None  # why there is no N=2 solution
-    seq: Optional[hankel.RootSequence] = None
-    prof: Optional[ivp.Profile] = None
-    error: Optional[Exception] = None  # the STOP_ERRORS member that stopped it
+    """The pipeline's stage outputs, filled stage by stage; a stage that
+    did not run leaves None. a2_error says why there is no N=2 solution,
+    error is the STOP_ERRORS member that stopped the pipeline."""
+    a1 = a2 = a2_error = seq = prof = error = None
 
 
 def _run(params: ModelParams, hcfg: hankel.HankelConfig,
-         icfg: ivp.IntegratorConfig, alpha: Optional[float] = None) -> _Run:
+         icfg: ivp.IntegratorConfig, alpha: float | None = None) -> _Run:
     """Seeds (N=1, N=2) -> Hankel alpha, unless `alpha` is given ->
     profile integrated from that alpha."""
     run = _Run()
     try:
         run.a1 = ansatz.solve_n1(params)
         if icfg.eta_max is None:  # the auto grid, before the Hankel stage
-            icfg = _checked(replace, icfg, eta_max=ivp.auto_eta_max(params))
+            icfg = _checked(icfg._replace, eta_max=ivp.auto_eta_max(params))
         try:
             run.a2 = ansatz.solve_n2(params)
         except (ansatz.RequiresNonzeroM, ansatz.NoPhysicalRoot) as e:
@@ -313,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", dest="eta_max", default="auto",
                    help="integration endpoint, decimal or 'auto'")
     p.add_argument("--stride", type=float,
-                   default=ivp.IntegratorConfig.sample_stride,
+                   default=ivp.IntegratorConfig().sample_stride,
                    help="output sampling interval in eta")
     p.set_defaults(func=cmd_profile)
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from ._bisection import bisect_sign
@@ -79,27 +79,42 @@ class MultipleRootsWarning(UserWarning):
     nearest-first walk are not signed, so they are not counted."""
 
 
-@dataclass(frozen=True)
-class HankelConfig:
-    d: int = -1  # first entry F_{d+2}; d = -1 is the Hankel-Pade H_D^0
-    D_max: int = 30
-    tol: float = 1e-10
+class HankelConfig(namedtuple("HankelConfig", "d D_max tol")):
+    """The Hankel offset d (first entry F_{d+2}; d = -1 is the Hankel-Pade
+    H_D^0), the largest dimension D_max >= 2 and the bisection tol > 0.
+    The matrix at D reads the Taylor table to order 2D + d, so the bound
+    -1 <= d <= D_max keeps every table at order 3 D_max or less. Checked
+    on every construction, `_replace` too."""
 
-    def __post_init__(self):
-        if self.d < -1:
+    __slots__ = ()
+
+    def __new__(cls, d=-1, D_max=30, tol=1e-10):
+        if d < -1:
             raise ValueError("d must be >= -1 (the first entry is F_{d+2}, at lowest F_1)")
-        if self.D_max < 2:
+        if D_max < 2:
             raise ValueError("D_max must be >= 2")
-        if not 0 < self.tol < math.inf:  # nan included
+        if d > D_max:
+            raise ValueError(f"d must be <= D_max = {D_max}, got {d}")
+        if not 0 < tol < math.inf:  # nan included
             raise ValueError("tol must be positive and finite")
+        return super().__new__(cls, d, D_max, tol)
+
+    # tuple.__new__ would skip the checks; `_replace` builds through this
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass
-class RootSequence:
-    roots: list[tuple[int, float]] = field(default_factory=list)
-    converged: bool = False
-    alpha_star: float = math.nan
-    skipped: list[int] = field(default_factory=list)  # D with no nearby root
+class RootSequence(namedtuple("RootSequence",
+                              "roots converged alpha_star skipped")):
+    """The roots (D, alpha_D) found, whether the sequence settled, the
+    reported alpha and the dimensions D skipped for want of a nearby root.
+    The two lists default to new empty ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, roots=None, converged=False, alpha_star=math.nan,
+                skipped=None):
+        return super().__new__(cls, [] if roots is None else roots, converged,
+                               alpha_star, [] if skipped is None else skipped)
 
 
 def _check_order(table: TaylorTable, d: int, D: int) -> None:
@@ -388,8 +403,8 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
     if not math.isfinite(seed):
         raise ValueError("seed must be finite")
     table = None
-    seq = RootSequence()
-    deltas = []
+    roots, skipped, deltas = [], [], []
+    converged = False
     guess, w0 = seed, 0.5 * abs(seed)
     w, misses = w0, 0
     for D in range(2, cfg.D_max + 1):
@@ -401,27 +416,26 @@ def alpha_sequence(params: ModelParams, cfg: HankelConfig,
             root = find_root(table, cfg, D, guess,
                              min(w0, 2 ** (misses // 2) * w), 17)
         except NoSignChange:
-            seq.skipped.append(D)
+            skipped.append(D)
             misses += 1
             continue
         misses = 0
 
-        if seq.roots:
-            deltas.append(abs(root - seq.roots[-1][1]))
-        seq.roots.append((D, root))
+        if roots:
+            deltas.append(abs(root - roots[-1][1]))
+        roots.append((D, root))
         guess = root
 
         if len(deltas) >= 3 and all(dl < SEQ_TOL for dl in deltas[-3:]):
-            seq.converged = True
+            converged = True
             break
 
         # shrink the next window to the observed step size
         if deltas:
             w = max(32 * deltas[-1], 1e-4, 16 * math.ulp(guess))
-    if not seq.roots:
+    if not roots:
         raise NoSignChange(
             f"no Hankel root found near the seed for any D up to {cfg.D_max}",
             D=cfg.D_max)
     i = min(range(len(deltas)), key=deltas.__getitem__, default=-1)
-    seq.alpha_star = seq.roots[i + 1][1]
-    return seq
+    return RootSequence(roots, converged, roots[i + 1][1], skipped)

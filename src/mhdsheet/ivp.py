@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from ._bisection import bisect_sign
 from .model import ModelParams
@@ -71,43 +71,51 @@ class BadBracket(Exception):
     """Both shooting endpoints diverge the same way."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str = "rk45"          # "rk45" adaptive or "rk4" fixed-step
-    eta_max: Optional[float] = None   # None -> auto: 10 / (N=1 decay rate)
-    sample_stride: float = 0.01
+class IntegratorConfig(namedtuple("IntegratorConfig",
+                                  "method eta_max sample_stride")):
+    """method "rk45" (adaptive) or "rk4" (fixed-step), eta_max (None: the
+    auto 10 / (N=1 decay rate)) and the sample stride of the profile rows.
+    Checked on every construction, `_replace` too."""
 
-    def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
+    __slots__ = ()
+
+    def __new__(cls, method="rk45", eta_max=None, sample_stride=0.01):
+        if method not in ("rk45", "rk4"):
+            raise ValueError(f"unknown method {method!r}")
         # written so that nan fails every check
-        if self.eta_max is not None and not 0 < self.eta_max < math.inf:
+        if eta_max is not None and not 0 < eta_max < math.inf:
             raise ValueError("eta_max must be positive and finite")
         # an infinite stride would make the grid's first point 0 * inf = nan
-        if not 0 < self.sample_stride < math.inf:
+        if not 0 < sample_stride < math.inf:
             raise ValueError("sample_stride must be positive and finite")
         # refused before any grid is built
-        if (self.eta_max is not None
-                and not self.eta_max / self.sample_stride <= MAX_ROWS):
-            raise ValueError(f"eta_max {self.eta_max:g} / stride "
-                             f"{self.sample_stride:g} asks for more than "
+        if eta_max is not None and not eta_max / sample_stride <= MAX_ROWS:
+            raise ValueError(f"eta_max {eta_max:g} / stride "
+                             f"{sample_stride:g} asks for more than "
                              f"{MAX_ROWS} profile rows")
+        return super().__new__(cls, method, eta_max, sample_stride)
+
+    # tuple.__new__ would skip the checks; `_replace` builds through this
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass
-class Profile:
-    rows: list[tuple[float, float, float, float]]  # (eta, f, fp, fpp)
-    alpha_used: float
-    tail_fp: float
-    extrema: list[tuple[float, float]] = field(default_factory=list)
+class Profile(namedtuple("Profile", "rows alpha_used tail_fp extrema")):
+    """rows (eta, f, fp, fpp) on the sample grid, the alpha integrated
+    from, f' at the last row and the extrema (eta, f') of f', a new empty
+    list by default."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows, alpha_used, tail_fp, extrema=None):
+        return super().__new__(cls, rows, alpha_used, tail_fp,
+                               [] if extrema is None else extrema)
 
 
-@dataclass
-class MonotonicityReport:
-    monotone: bool
-    extrema: list[tuple[float, float]]
-    fp_min: float
-    fp_max: float
+class MonotonicityReport(namedtuple("MonotonicityReport",
+                                    "monotone extrema fp_min fp_max")):
+    """Whether f' is monotone, its extrema (eta, f') and its range."""
+
+    __slots__ = ()
 
 
 def rhs(params: ModelParams):
@@ -221,7 +229,7 @@ def _interpolant(step: _Step) -> Callable[[float], tuple]:
 
 
 def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
-           stop: Callable[[tuple], float], steps: Optional[list] = None
+           stop: Callable[[tuple], float], steps: list | None = None
            ) -> tuple[float, tuple[float, float, float], bool]:
     """Integrate y' = f(t, y) from t = 0 to t_end by Dormand-Prince 5(4),
     step for step as scipy's RK45: RMS error norm with the scale
@@ -378,7 +386,7 @@ def integrate(params: ModelParams, alpha: float, cfg: IntegratorConfig) -> Profi
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if cfg.eta_max is None:
-        cfg = replace(cfg, eta_max=auto_eta_max(params))
+        cfg = cfg._replace(eta_max=auto_eta_max(params))
     y0 = (params.s, -1.0, alpha)
     f = rhs(params)
     # one blowup level for the start and both integrators: 1e12, raised at
@@ -471,7 +479,7 @@ def _divergence_side(params: ModelParams, alpha: float, eta_max: float,
 
 
 def shoot_refine(params: ModelParams, bracket: tuple[float, float],
-                 guess: Optional[float] = None) -> float:
+                 guess: float | None = None) -> float:
     """alpha at the sign change of the divergence side inside bracket,
     resolved to bisection's final width of 1e-8, or to two adjacent
     floats once those are further apart (|alpha| >= 2^26). Independent

@@ -13,27 +13,23 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "M m s exact")):
     """Dimensionless model parameters: Hartmann number M, coefficient m of
     the f*f'' term, and suction parameter s = f(0), read once into `exact`,
     the rationals (M, m, s) of the Taylor table: a rational exactly, a float
     (numpy float64 too) through its shortest decimal repr, so 1.8 is 9/5.
-    The fields hold the nearest floats, which every float formula reads."""
+    The fields hold the nearest floats, which every float formula reads;
+    `exact` is derived, never passed, and is part of == and hash."""
 
-    M: float
-    m: float
-    s: float
-    exact: tuple[Fraction, Fraction, Fraction] = field(init=False)  # in == too
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, M, m, s):
         exact = []
-        for name in ("M", "m", "s"):
-            v = getattr(self, name)
+        for name, v in (("M", M), ("m", m), ("s", s)):
             if isinstance(v, numbers.Rational):
                 x = Fraction(int(v.numerator), int(v.denominator))
             elif not isinstance(v, float):
@@ -46,9 +42,14 @@ class ModelParams:
             if not abs(x) <= sys.float_info.max or (x and not float(x)):
                 # its nearest float would be inf, or 0 for a nonzero value
                 raise ValueError(f"parameter {name} is past the float range")
-            object.__setattr__(self, name, float(x))
             exact.append(x)
-        object.__setattr__(self, "exact", tuple(exact))
+        return super().__new__(cls, *map(float, exact), tuple(exact))
+
+    # `_replace` builds through `_make`: from the three floats, checked again
+    _make = classmethod(lambda cls, values: cls(*tuple(values)[:3]))
+
+    def __getnewargs__(self):  # copy and pickle: from the exact rationals
+        return self.exact
 
     @property
     def M2(self) -> float:

@@ -30,10 +30,10 @@ from a shorter one's G_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .model import ModelParams
 
@@ -46,13 +46,12 @@ class PoleNear(Exception):
     """Pade evaluation requested too close to a denominator zero."""
 
 
-@dataclass(frozen=True)
-class AlphaPolynomial:
+class AlphaPolynomial(namedtuple("AlphaPolynomial", "coeffs")):
     """Univariate polynomial in alpha with exact rational coefficients,
     coeffs[k] multiplying alpha^k. The table's entries are canonical:
     trailing zeros trimmed, the zero polynomial is the empty tuple."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __call__(self, alpha: Fraction) -> Fraction:
         # Horner, highest degree first, for determinism
@@ -62,20 +61,15 @@ class AlphaPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class TaylorTable:
+class TaylorTable(namedtuple("TaylorTable", "m2 m s moments")):
     """The derivatives F_0 .. F_J of f at eta = 0, each an exact polynomial
     in alpha. m2/m/s are the exact rational parameters (the recurrence only
     sees M^2, so negative M is equivalent to |M|).
 
     `moments[k]` is (c, L) with F_k = f^(k)(0) = sum c_i alpha^i / L in
     lowest terms: L > 0, gcd(L, *c) == 1 and no trailing zero in c
-    (F_k = 0 is ((), 1))."""
-
-    m2: Fraction
-    m: Fraction
-    s: Fraction
-    moments: tuple[tuple[tuple[int, ...], int], ...]
+    (F_k = 0 is ((), 1)). No __slots__: `entries` and the Hankel sign
+    test's multipliers are kept in the instance's __dict__."""
 
     @property
     def order(self) -> int:
@@ -96,7 +90,7 @@ class TaylorTable:
 
 
 def taylor_table(params: ModelParams, order: int,
-                 table: Optional[TaylorTable] = None) -> TaylorTable:
+                 table: TaylorTable | None = None) -> TaylorTable:
     """Build F_0 .. F_order by the exact recurrence. Requires order >= 3.
 
     The recurrence continues from the entries of `table` (of the same exact
@@ -150,12 +144,10 @@ def evaluate_table(table: TaylorTable, alpha: Fraction) -> list[Fraction]:
     return [p(alpha) for p in table.entries]
 
 
-@dataclass(frozen=True)
-class PadeApproximant:
+class PadeApproximant(namedtuple("PadeApproximant", "num_coeffs den_coeffs")):
     """[L/K] rational approximant; den_coeffs[0] == 1."""
 
-    num_coeffs: tuple[float, ...]
-    den_coeffs: tuple[float, ...]
+    __slots__ = ()
 
 
 def solve_linear(A: Sequence[Sequence[float]],

@@ -492,12 +492,15 @@ PAPER = ["--M", "2", "--m", "2", "--s", "1.8"]
     ["profile", "--M", "0", "--m", "2", "--s", "0.5", "--alpha", "inf"],
     # nonzero, but its float is 0: it printed the alpha = 0 profile
     ["profile", *PAPER, "--alpha", "1e-400"],
+    # d above Dmax: the first Taylor table, of order 4 + d, ran past 30 s
+    ["solve", *PAPER, "--d", "100000", "--Dmax", "3"],
 ], ids=["d", "Dmax", "tol", "tol-inf", "stride", "stride-inf", "eta-max",
         "alpha", "d-before-seed", "scan-d-before-seed", "M-1e400", "M-two",
         "missing-s", "alpha-before-seed", "alpha-inf-before-seed",
-        "alpha-tiny"])
+        "alpha-tiny", "d-above-Dmax"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
-    code = main(argv)
+    with deadline(5):
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

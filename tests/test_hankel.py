@@ -79,6 +79,26 @@ class TestEntries:
         with pytest.raises(ValueError, match=">= -1"):
             HankelConfig(d=-2)
 
+    def test_offset_at_most_D_max(self):
+        # the first table has order 4 + d: at d = 100000 it was still
+        # being built after 30 s
+        assert HankelConfig(d=30, D_max=30).d == 30
+        with pytest.raises(ValueError, match="<= D_max"):
+            HankelConfig(d=100000, D_max=3)
+
+    def test_replace_checks_like_the_constructor(self):
+        with pytest.raises(ValueError, match=">= -1"):
+            HankelConfig()._replace(d=-2)
+        with pytest.raises(ValueError, match="<= D_max"):
+            HankelConfig(d=3)._replace(D_max=2)
+        assert HankelConfig()._replace(tol=1e-6) == HankelConfig(tol=1e-6)
+
+    def test_sequences_share_no_default_list(self):
+        a, b = hankel.RootSequence(), hankel.RootSequence()
+        assert a.roots == b.roots == a.skipped == []
+        assert a.roots is not b.roots and a.skipped is not b.skipped
+        assert a.roots is not a.skipped
+
     @pytest.mark.parametrize("field, value", [
         ("seed", math.nan), ("seed", math.inf), ("seed", -math.inf),
         ("bracket_halfwidth", math.nan), ("bracket_halfwidth", math.inf),

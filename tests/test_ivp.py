@@ -155,6 +155,20 @@ class TestIntegrate:
                 IntegratorConfig(eta_max=eta_max, sample_stride=stride)
         assert IntegratorConfig(eta_max=1e6, sample_stride=1.0)
 
+    def test_replace_checks_like_the_constructor(self):
+        # a named tuple's _replace skips __new__ unless _make is overridden
+        with pytest.raises(ValueError, match="eta_max must be positive"):
+            IntegratorConfig()._replace(eta_max=-1.0)
+        with pytest.raises(ValueError, match="rows"):
+            IntegratorConfig(sample_stride=1e-6)._replace(eta_max=2.0)
+        assert IntegratorConfig()._replace(eta_max=2.0) == IntegratorConfig(
+            eta_max=2.0)
+
+    def test_records_share_no_default_list(self):
+        a, b = (Profile(rows=[], alpha_used=0.0, tail_fp=0.0)
+                for _ in range(2))
+        assert a.extrema == b.extrema == [] and a.extrema is not b.extrema
+
     def test_stride_must_be_positive_and_finite(self, paper_params):
         # an infinite stride made the grid's first point 0 * inf = nan,
         # and the profile lost its eta_max row

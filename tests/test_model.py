@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +28,16 @@ def test_exact_reads_decimals():
     assert type(ModelParams(np.int64(2), 0, 0).exact[0].numerator) is int
     assert (taylor_table(ModelParams(np.int64(2), 2, 1.8), 10)
             == taylor_table(ModelParams(2, 2, 1.8), 10))
+
+
+def test_copies_are_checked_and_pickles_keep_exact():
+    p = ModelParams(Fraction(4, 3), 2, Fraction(9, 5))
+    # pickle and copy rebuild from the exact rationals
+    assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == p
+    # _replace checks the new value and reads the others from their floats
+    assert p._replace(m=3).exact == (Fraction(repr(4 / 3)), 3, Fraction(9, 5))
+    with pytest.raises(ValueError, match="finite"):
+        p._replace(s=math.inf)
 
 
 def test_params_are_read_once():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mhdsheet
 
 
@@ -28,6 +30,22 @@ def test_import_does_not_load_numpy():
     # the package needs only the standard library; numpy at module level
     # was once ~90% of its import time
     import_leaves_out("numpy")
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "typing"])
+def test_import_does_not_load_slow_standard_modules(module):
+    # dataclasses loads inspect, which loads ast, dis and tokenize, and
+    # each @dataclass compiled its methods: together over half the
+    # package's import time. -S leaves out site-packages, where a .pth
+    # file may import typing before the package does; -B writes no
+    # bytecode
+    src = str(Path(mhdsheet.__file__).resolve().parent.parent)
+    check = ("import sys, mhdsheet, mhdsheet.cli; "
+             f"assert {module!r} not in sys.modules")
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", check],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_module_imports_numpy():
