@@ -5,16 +5,21 @@ The third-order ODE is integrated as the first-order system
 f(0) = s, f'(0) = -1, f''(0) = alpha, either by fixed-step classical RK4
 or by the adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980;
 Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6). Both steppers are
-written out over the three floats (f, f', f''), one right-hand side call
-per stage, each sum in one fixed order: they take the same steps on
-every Python (sum() compensates from 3.12 on). `_dopri` copies scipy's
+written out over the three floats (f, f', f''), each sum in one fixed
+order: they take the same steps on every Python (sum() compensates from
+3.12 on). The derivative that `rhs` builds carries its (M^2, m) as the
+tag `coeffs`; given it, each stage evaluates M^2 f' + f'^2 - m f f''
+inline, and any other derivative (a counting wrapper, say) is called
+once per stage. Both paths run the same float operations in the same
+order, so they give the same floats. `_dopri` copies scipy's
 RK45 (coefficients, error norm, step controller, initial step), so it
 takes scipy's steps, up to the rounding of its sums: numpy's dot
 products may fuse multiply-adds. It stops where one stop function of the
 state rises through 0, located on the step's dense output as a terminal
 scipy event is. A profile builds every step's dense output, a shot only
-the stop's. Profiles carry extrema of f' (sign changes of f'' between
-samples), so an interior maximum shows directly.
+the stop's, and the record of no other step. Profiles carry extrema of
+f' (sign changes of f'' between samples), so an interior maximum shows
+directly.
 The package's one bisection loop, `_bisection.bisect_sign`, locates both
 the stop and these extrema, the latter on the profile's one state
 lookup, which also builds its rows: the dense output for RK45, a
@@ -126,6 +131,8 @@ def rhs(params: ModelParams):
         f, fp, fpp = y
         return (fp, fpp, M2 * fp + fp * fp - m * f * fpp)
 
+    # the tag that sends `_dopri` and `_rk4_step` down their inline path
+    deriv.coeffs = (M2, m)
     return deriv
 
 
@@ -137,13 +144,32 @@ def auto_eta_max(params: ModelParams) -> float:
 
 def _rk4_step(f: Callable, eta: float, y: tuple[float, float, float],
               h: float) -> tuple[float, float, float]:
-    """One classical RK4 step, written out over (f, f', f'')."""
+    """One classical RK4 step, written out over (f, f', f''). Each stage
+    calls f, or evaluates f''' inline when f is the derivative of `rhs`:
+    the same float operations in the same order, so the same floats."""
     y0, y1, y2 = y
     h2, h6 = h / 2, h / 6
-    p1, q1, r1 = f(eta, y)
-    p2, q2, r2 = f(eta + h2, (y0 + h2 * p1, y1 + h2 * q1, y2 + h2 * r1))
-    p3, q3, r3 = f(eta + h2, (y0 + h2 * p2, y1 + h2 * q2, y2 + h2 * r2))
-    p4, q4, r4 = f(eta + h, (y0 + h * p3, y1 + h * q3, y2 + h * r3))
+    coeffs = getattr(f, "coeffs", None)
+    if coeffs is None:
+        p1, q1, r1 = f(eta, y)
+    else:
+        M2, m = coeffs
+        p1, q1, r1 = y1, y2, M2 * y1 + y1 * y1 - m * y0 * y2
+    s0, s1, s2 = y0 + h2 * p1, y1 + h2 * q1, y2 + h2 * r1
+    if coeffs is None:
+        p2, q2, r2 = f(eta + h2, (s0, s1, s2))
+    else:
+        p2, q2, r2 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
+    s0, s1, s2 = y0 + h2 * p2, y1 + h2 * q2, y2 + h2 * r2
+    if coeffs is None:
+        p3, q3, r3 = f(eta + h2, (s0, s1, s2))
+    else:
+        p3, q3, r3 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
+    s0, s1, s2 = y0 + h * p3, y1 + h * q3, y2 + h * r3
+    if coeffs is None:
+        p4, q4, r4 = f(eta + h, (s0, s1, s2))
+    else:
+        p4, q4, r4 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
     return (y0 + h6 * (p1 + 2 * p2 + 2 * p3 + p4),
             y1 + h6 * (q1 + 2 * q2 + 2 * q3 + q4),
             y2 + h6 * (r1 + 2 * r2 + 2 * r3 + r4))
@@ -235,7 +261,9 @@ def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
     step for step as scipy's RK45: RMS error norm with the scale
     ABS_TOL + max(|y|, |y_new|) REL_TOL, read at each call, safety 0.9,
     step factor within [0.2, 10] and no growth right after a rejection.
-    Stages written out over (f, f', f''), one f call each; else ValueError.
+    Stages written out over (f, f', f''): inline for the derivative of
+    `rhs`, one f call each for any other, with the same floats; a state of
+    another length is a ValueError.
 
     Stops where stop(y) rises through 0 across an accepted step
     (stop(y_old) <= 0 <= stop(y_new)): the crossing is bisected on the
@@ -246,9 +274,12 @@ def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
     below 10 ulp(t), which a nan or infinite derivative also leads to."""
     t, rtol, atol = 0.0, REL_TOL, ABS_TOL
     y0, y1, y2 = y = tuple(y)
-    k1 = p1, q1, r1 = f(t, y)
-    h_abs = _initial_step(f, y, k1, t_end)
+    p1, q1, r1 = f(t, y)
+    h_abs = _initial_step(f, y, (p1, q1, r1), t_end)
     g_old = stop(y)
+    coeffs = getattr(f, "coeffs", None)
+    if coeffs is not None:
+        M2, m = coeffs
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A
     b1, _, b3, b4, b5, b6 = _B
@@ -259,6 +290,7 @@ def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
+        a0, a1, a2 = abs(y0), abs(y1), abs(y2)
         while True:
             if not h_abs >= min_step:   # nan fails too
                 raise StepUnderflow("Required step size is less than "
@@ -267,37 +299,63 @@ def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
             if t_new > t_end:
                 t_new = t_end
             h = t_new - t
-            k2 = p2, q2, r2 = f(t + c2 * h, (
-                y0 + (p1 * a21) * h, y1 + (q1 * a21) * h, y2 + (r1 * a21) * h))
-            k3 = p3, q3, r3 = f(t + c3 * h, (
-                y0 + (p1 * a31 + p2 * a32) * h, y1 + (q1 * a31 + q2 * a32) * h,
-                y2 + (r1 * a31 + r2 * a32) * h))
-            k4 = p4, q4, r4 = f(t + c4 * h, (
-                y0 + (p1 * a41 + p2 * a42 + p3 * a43) * h,
-                y1 + (q1 * a41 + q2 * a42 + q3 * a43) * h,
-                y2 + (r1 * a41 + r2 * a42 + r3 * a43) * h))
-            k5 = p5, q5, r5 = f(t + c5 * h, (
+            # each stage: its state (s0, s1, s2), then f there
+            s0, s1, s2 = (y0 + (p1 * a21) * h, y1 + (q1 * a21) * h,
+                          y2 + (r1 * a21) * h)
+            if coeffs is None:
+                p2, q2, r2 = f(t + c2 * h, (s0, s1, s2))
+            else:
+                p2, q2, r2 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
+            s0, s1, s2 = (y0 + (p1 * a31 + p2 * a32) * h,
+                          y1 + (q1 * a31 + q2 * a32) * h,
+                          y2 + (r1 * a31 + r2 * a32) * h)
+            if coeffs is None:
+                p3, q3, r3 = f(t + c3 * h, (s0, s1, s2))
+            else:
+                p3, q3, r3 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
+            s0, s1, s2 = (y0 + (p1 * a41 + p2 * a42 + p3 * a43) * h,
+                          y1 + (q1 * a41 + q2 * a42 + q3 * a43) * h,
+                          y2 + (r1 * a41 + r2 * a42 + r3 * a43) * h)
+            if coeffs is None:
+                p4, q4, r4 = f(t + c4 * h, (s0, s1, s2))
+            else:
+                p4, q4, r4 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
+            s0, s1, s2 = (
                 y0 + (p1 * a51 + p2 * a52 + p3 * a53 + p4 * a54) * h,
                 y1 + (q1 * a51 + q2 * a52 + q3 * a53 + q4 * a54) * h,
-                y2 + (r1 * a51 + r2 * a52 + r3 * a53 + r4 * a54) * h))
-            k6 = p6, q6, r6 = f(t + h, (
+                y2 + (r1 * a51 + r2 * a52 + r3 * a53 + r4 * a54) * h)
+            if coeffs is None:
+                p5, q5, r5 = f(t + c5 * h, (s0, s1, s2))
+            else:
+                p5, q5, r5 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
+            s0, s1, s2 = (
                 y0 + (p1 * a61 + p2 * a62 + p3 * a63 + p4 * a64
                       + p5 * a65) * h,
                 y1 + (q1 * a61 + q2 * a62 + q3 * a63 + q4 * a64
                       + q5 * a65) * h,
                 y2 + (r1 * a61 + r2 * a62 + r3 * a63 + r4 * a64
-                      + r5 * a65) * h))
+                      + r5 * a65) * h)
+            if coeffs is None:
+                p6, q6, r6 = f(t + h, (s0, s1, s2))
+            else:
+                p6, q6, r6 = s1, s2, M2 * s1 + s1 * s1 - m * s0 * s2
             n0 = y0 + h * (p1 * b1 + p3 * b3 + p4 * b4 + p5 * b5 + p6 * b6)
             n1 = y1 + h * (q1 * b1 + q3 * b3 + q4 * b4 + q5 * b5 + q6 * b6)
             n2 = y2 + h * (r1 * b1 + r3 * b3 + r4 * b4 + r5 * b5 + r6 * b6)
             y_new = (n0, n1, n2)
-            k7 = p7, q7, r7 = f(t + h, y_new)
+            if coeffs is None:
+                p7, q7, r7 = f(t + h, y_new)
+            else:
+                p7, q7, r7 = n1, n2, M2 * n1 + n1 * n1 - m * n0 * n2
+            # the scale's max(|y|, |y_new|) as comparisons: |y_new| only
+            # where it is greater, so a nan |y| stays, as max keeps it
+            v0, v1, v2 = abs(n0), abs(n1), abs(n2)
             u0 = (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6
-                  + p7 * e7) * h / (atol + max(abs(y0), abs(n0)) * rtol)
+                  + p7 * e7) * h / (atol + (v0 if v0 > a0 else a0) * rtol)
             u1 = (q1 * e1 + q3 * e3 + q4 * e4 + q5 * e5 + q6 * e6
-                  + q7 * e7) * h / (atol + max(abs(y1), abs(n1)) * rtol)
+                  + q7 * e7) * h / (atol + (v1 if v1 > a1 else a1) * rtol)
             u2 = (r1 * e1 + r3 * e3 + r4 * e4 + r5 * e5 + r6 * e6
-                  + r7 * e7) * h / (atol + max(abs(y2), abs(n2)) * rtol)
+                  + r7 * e7) * h / (atol + (v2 if v2 > a2 else a2) * rtol)
             err = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2) / 3 ** 0.5
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0 else
@@ -306,16 +364,22 @@ def _dopri(f: Callable, y: tuple[float, float, float], t_end: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
             rejected = True
-        step = (t, t_new, y, (k1, k2, k3, k4, k5, k6, k7))
-        if steps is not None:
-            steps.append(step)
         g_new = stop(y_new)
-        if g_old <= 0 <= g_new:
-            at = _interpolant(step)
-            if g_old < 0:   # else stop is exactly 0 at t
-                t = bisect_sign(lambda s: stop(at(s)), t, t_new, g_old, 0.0)[1]
-            return t, at(t), True
-        t, y, k1, g_old = t_new, y_new, k7, g_new
+        hit = g_old <= 0 <= g_new
+        if hit or steps is not None:
+            # the step is built only where it is read
+            step = (t, t_new, y, ((p1, q1, r1), (p2, q2, r2), (p3, q3, r3),
+                                  (p4, q4, r4), (p5, q5, r5), (p6, q6, r6),
+                                  (p7, q7, r7)))
+            if steps is not None:
+                steps.append(step)
+            if hit:
+                at = _interpolant(step)
+                if g_old < 0:   # else stop is exactly 0 at t
+                    t = bisect_sign(lambda s: stop(at(s)), t, t_new, g_old,
+                                    0.0)[1]
+                return t, at(t), True
+        t, y, g_old = t_new, y_new, g_new
         y0, y1, y2, p1, q1, r1 = n0, n1, n2, p7, q7, r7
     return t, y, False
 

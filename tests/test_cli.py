@@ -708,8 +708,9 @@ class TestWithoutNumpy:
               "from mhdsheet.cli import main; sys.exit(main(sys.argv[1:]))")
 
     def run(self, *argv, script=SCRIPT):
+        # -B: the environment drops PYTHONDONTWRITEBYTECODE
         src = str(Path(mhdsheet.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", script, *argv],
+        proc = subprocess.run([sys.executable, "-B", "-c", script, *argv],
                               env={"PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr

@@ -339,6 +339,65 @@ class TestFrozenOffPaper:
         assert prof.extrema == extrema
 
 
+def tagged_counter(params):
+    """(f, calls): f calls ivp.rhs(params) and logs each call's eta in
+    calls; it carries that derivative's tag, so the steppers take their
+    inline path and call f only outside their stages."""
+    deriv, calls = ivp.rhs(params), []
+
+    def f(eta, y):
+        calls.append(eta)
+        return deriv(eta, y)
+    f.coeffs = deriv.coeffs
+    return f, calls
+
+
+class TestInlinePath:
+    """The steppers evaluate f''' inline for the derivative of ivp.rhs and
+    call any other; both paths give the same floats."""
+
+    @pytest.mark.parametrize("point,alpha,calls,accepted,digest",
+                             STEP_LOG_RECORDS)
+    def test_step_log(self, point, alpha, calls, accepted, digest):
+        params, steps = ModelParams(*point), []
+        ivp._dopri(ivp.rhs(params), (params.s, -1.0, alpha),
+                   3 * auto_eta_max(params),
+                   lambda y: (y[1] - 0.5) * (y[1] + 1.5), steps)
+        assert len(steps) == accepted
+        assert hashlib.sha256(repr(steps).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("point,alpha,method,rows,digest,extrema",
+                             ROW_DIGEST_RECORDS)
+    def test_rows_on_the_call_path(self, point, alpha, method, rows, digest,
+                                   extrema, monkeypatch):
+        original = ivp.rhs
+
+        def plain(params):
+            deriv = original(params)
+            return lambda eta, y: deriv(eta, y)
+        monkeypatch.setattr(ivp, "rhs", plain)
+        prof = integrate(ModelParams(*point), alpha,
+                         IntegratorConfig(method=method))
+        assert len(prof.rows) == rows
+        assert rows_digest(prof.rows) == digest
+        assert prof.extrema == extrema
+
+    def test_the_tag_selects_the_path(self, paper_params):
+        # the tagged f is called for the first derivative and the initial
+        # step's probe alone, and never by RK4; an untagged one per stage
+        tagged, calls = tagged_counter(paper_params)
+        deriv = ivp.rhs(paper_params)
+        plain = lambda eta, state: deriv(eta, state)  # noqa: E731
+        y = (paper_params.s, -1.0, PAPER_ALPHA)
+        stop = lambda state: -1.0  # noqa: E731
+        assert ivp._dopri(tagged, y, 2.0, stop) == ivp._dopri(plain, y, 2.0,
+                                                              stop)
+        assert len(calls) == 2
+        assert ivp._rk4_step(tagged, 0.0, y, 1e-3) == ivp._rk4_step(
+            plain, 0.0, y, 1e-3)
+        assert len(calls) == 2
+
+
 class TestStateLength:
     """Both steppers are written out for the three floats (f, f', f'')."""
 
@@ -353,6 +412,18 @@ class TestStateLength:
             ivp._dopri(f, y, 1.0, lambda state: -1.0)
         with pytest.raises(ValueError):
             ivp._rk4_step(f, 0.0, y, 1e-3)
+        assert calls == []
+
+    @pytest.mark.parametrize("y", [(1.8, -1.0), (1.8, -1.0, 4.2, 0.0)])
+    def test_inline_path_raises_too(self, paper_params, y):
+        # the derivative of ivp.rhs, whose stages run inline, and a counter
+        # carrying its tag, on which "before any stage" can be seen
+        tagged, calls = tagged_counter(paper_params)
+        for f in (ivp.rhs(paper_params), tagged):
+            with pytest.raises(ValueError):
+                ivp._dopri(f, y, 1.0, lambda state: -1.0)
+            with pytest.raises(ValueError):
+                ivp._rk4_step(f, 0.0, y, 1e-3)
         assert calls == []
 
 

@@ -11,10 +11,11 @@ import mhdsheet
 
 def import_leaves_out(module):
     """Import mhdsheet in a fresh interpreter and check that `module` was
-    not loaded."""
+    not loaded. -B: the environment below drops PYTHONDONTWRITEBYTECODE,
+    and a checkout's cached bytecode would change its import time."""
     src = str(Path(mhdsheet.__file__).resolve().parent.parent)
     check = f"import sys, mhdsheet; assert {module!r} not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", check],
+    proc = subprocess.run([sys.executable, "-B", "-c", check],
                           env={"PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -64,12 +65,12 @@ def test_no_module_imports_numpy():
 
 def test_readme_sketch_runs():
     # the README's one python block runs as written, on the standard
-    # library alone
+    # library alone; -B writes no bytecode
     root = Path(__file__).resolve().parent.parent
     blocks = re.findall(r"```python\n(.*?)```",
                         (root / "README.md").read_text("utf-8"), re.S)
     assert len(blocks) == 1, f"{len(blocks)} python blocks in README.md"
-    proc = subprocess.run([sys.executable, "-c", blocks[0]],
+    proc = subprocess.run([sys.executable, "-B", "-c", blocks[0]],
                           env={"PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
