@@ -1,25 +1,22 @@
-"""The package's one bisection loop. It serves the exact Hankel root search
-(`hankel.find_root`, on Fraction brackets) and the float searches of `ivp`
-(the adaptive stepper's stop, extremum refinement and shooting)."""
+"""The package's one bisection loop, on floats. It serves the Hankel root
+search (`hankel.find_root`, whose signs `det_sign_at` computes exactly at
+each float), the float searches of `ivp` (the adaptive stepper's stop,
+extremum refinement and shooting) and the real roots of the N = 2
+quartic (`ansatz._real_roots`)."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
 
-def bisect_sign(g: Callable, a, b, ga, width):
-    """Bisect [a, b], where g(a) = ga is nonzero and g(b) has the other
-    sign, until b - a <= width or the midpoint no longer lies strictly
-    between a and b as floats; returns the final bracket, or (x, x) at a
-    midpoint x where g is zero.
-
-    The midpoint is (a + b) / 2, so Fraction ends stay exact; for floats it
-    is the rounded 0.5 * (a + b). The float test stops a float bracket at
-    adjacent floats, and an exact one once float((a + b) / 2) could move
-    by at most one float spacing, whatever `width` asks for."""
+def bisect_sign(g: Callable, a: float, b: float, ga, width: float):
+    """Bisect the float bracket [a, b], where g(a) = ga is nonzero and g(b)
+    has the other sign, at the rounded midpoint (a + b) / 2. One stop rule:
+    b - a <= width, or no float lies strictly between a and b. Returns the
+    final bracket, or (m, m) at a midpoint m where g is zero."""
     while b - a > width:
         mid = (a + b) / 2
-        if not float(a) < float(mid) < float(b):
+        if not a < mid < b:
             break
         gm = g(mid)
         if gm == 0:

@@ -31,17 +31,14 @@ the most factors of p is divided out, including the powers of b in
 alpha = a/b. The sign of det[c_{i+j}] comes from
 Desnanot-Jacobi (Dodgson) condensation, ~D^2 exact big-integer steps;
 when one of its exact divisors is zero, fraction-free Bareiss elimination
-of the same integer matrix decides instead. Root location is a dyadic-point scan
-of the window that `alpha_sequence` picks for each D (the one config,
-`HankelConfig`, holds just d, D_max and tol, the CLI's --d, --Dmax and
---tol). The scan walks the
-candidate brackets, grid points and cells, nearest the guess first and
-takes the first one across which the sign is 0 or changes, signing only
-the points it walks past. That bracket is bisected with exact signs on
-the package's one bisection loop, `_bisection.bisect_sign`, which stops
-at cfg.tol or at float resolution, whichever comes first. No
-floating-point cancellation can ever flip a bracket, and no float
-fallback is substituted silently.
+of the same integer matrix decides instead. Root location scans a grid
+of dyadic floats over the window `alpha_sequence` picks for each D (the
+one config, `HankelConfig`, holds d, D_max and tol: --d, --Dmax, --tol),
+nearest the guess first, and takes the first point or cell where the
+sign is 0 or changes; the package's one bisection loop,
+`_bisection.bisect_sign`, halves that bracket on floats down to cfg.tol
+or adjacent floats. `det_sign_at` alone reads each float exactly, as the
+rational it is, so no float cancellation can flip a bracket.
 """
 
 from __future__ import annotations
@@ -300,8 +297,11 @@ def _condensation_sign(c: list) -> int:
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def det_sign_at(table: TaylorTable, d: int, D: int, alpha: Fraction) -> int:
-    """Exact sign of the Hankel determinant at a rational alpha."""
+def det_sign_at(table: TaylorTable, d: int, D: int, alpha) -> int:
+    """Exact sign of the Hankel determinant at a finite float or rational
+    alpha, read exactly as `Fraction(alpha)`: find_root's one exact read."""
+    if alpha != alpha or abs(alpha) == math.inf:
+        raise ValueError("alpha must be finite")
     _check_order(table, d, D)
     return _condensation_sign(_hankel_sequence(table, d, D, Fraction(alpha)))
 
@@ -310,38 +310,42 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
               w: float, n: int) -> float:
     """Locate a root of the Hankel determinant near `guess`.
 
-    The scan grid is about n dyadic points across [guess - w, guess + w]. A
-    bracket is a point where the sign is 0 or a cell across which it
-    changes. Every point and every cell is a candidate, and the candidates
-    are walked nearest-first: by the float distance of their midpoint from
-    `guess`, then the lower index, then the point before the cell. The walk
-    signs the points of each candidate it reaches, from the cell that holds
-    `guess` or the grid point nearest it, and takes the first candidate
-    that is a bracket: the one that signing the whole grid would choose,
-    usually found after a few points. That bracket is bisected with exact
-    signs at dyadic midpoints (`bisect_sign`, from the sign the walk found
-    at its left end, so no point is signed twice) until its width is <=
-    cfg.tol or the float of its midpoint can move by at most one spacing.
-    Floats are exactly dyadic, so every evaluation point stays an exact
-    rational. Raises NoSignChange when the walk ends without a bracket, the
-    whole grid signed, or when w is 0.
+    The scan grid is about n floats i 2^-g across [guess - w, guess + w],
+    its spacing floored at the float spacing of |guess| + w. A bracket is
+    a point where the sign is 0 or a cell across which it changes. Every
+    point and cell is a candidate, walked nearest-first: by the float
+    distance of its midpoint from `guess`, then the lower index, then the
+    point before the cell. The walk signs the points of each candidate it
+    reaches and takes the first bracket: the one that signing the whole
+    grid would choose, usually after a few points. That bracket is bisected
+    on floats (`bisect_sign`, from the sign the walk found at its left end,
+    so no point is signed twice) to width cfg.tol or adjacent floats; each
+    sign is exact, as `det_sign_at` reads each float exactly. Raises
+    ValueError for a guess that is not finite or a window past the float
+    range, and NoSignChange when the walk ends without a bracket, the whole
+    grid signed, or when w is 0.
     """
     if not 0 <= w < math.inf:  # nan included
         raise ValueError("half-width w must be >= 0 and finite")
     if n < 3:
         raise ValueError("scan count n must be >= 3")
+    if not math.isfinite(guess):
+        raise ValueError("guess must be finite")
+    if not abs(guess) + w < 2.0 ** 1022:  # grid sums stay below 2^1024
+        raise ValueError("guess +- w leaves the float range: |guess| + w >= 2**1022")
     if w == 0:  # seed 0
         raise NoSignChange(f"empty bracket at {guess:g} for D={D}; "
                            "give a nonzero seed", D=D)
     # snap the scan onto a power-of-two grid of spacing 2^-g: short dyadic
     # evaluation points keep the exact determinant arithmetic cheap, and
     # bisection midpoints then grow only one bit per step; g < 0 (spacing
-    # 2, 4, ...) keeps a wide bracket at about n points
+    # 2, 4, ...) keeps a wide bracket at about n points. The floor at the
+    # window's float spacing keeps the points distinct floats
     g = -math.floor(math.log2(2 * w / (n - 1)))
-    lo_i = math.floor((guess - w) * 2 ** g)
-    hi_i = math.ceil((guess + w) * 2 ** g)
-    step = Fraction(2) ** -g
-    pts = [i * step for i in range(lo_i, hi_i + 1)]
+    g = min(g, 1 - math.frexp(math.ulp(abs(guess) + w))[1])
+    lo_i = math.floor(math.ldexp(guess - w, g))
+    hi_i = math.ceil(math.ldexp(guess + w, g))
+    pts = [math.ldexp(i, -g) for i in range(lo_i, hi_i + 1)]
     n = len(pts)
     signs = {}
 
@@ -351,10 +355,8 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
         return signs[i]
 
     # candidate (i, k): a zero at point i = k, or a sign change across the
-    # cell (i, k = i + 1); keyed by the float distance of its midpoint
-    # (pts[i] + pts[k]) / 2 = (2 lo_i + i + k) 2^(-g-1) from the guess,
-    # then the lower index, then the point before the cell
-    candidates = sorted((abs(math.ldexp(2 * lo_i + i + k, -g - 1) - guess), i, k)
+    # cell (i, k = i + 1)
+    candidates = sorted((abs((pts[i] + pts[k]) / 2 - guess), i, k)
                         for i in range(n) for k in (i, i + 1) if k < n)
     for _, i, k in candidates:
         if (sign(i) == 0) if k == i else (sign(i) * sign(k) < 0):
@@ -371,7 +373,7 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
             "to the guess", MultipleRootsWarning)
     lo, hi = bisect_sign(lambda x: det_sign_at(table, cfg.d, D, x),
                          pts[i], pts[k], signs[i], cfg.tol)
-    return float((lo + hi) / 2)
+    return (lo + hi) / 2
 
 
 def alpha_sequence(params: ModelParams, cfg: HankelConfig,

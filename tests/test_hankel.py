@@ -6,7 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mhdsheet import (HankelConfig, ModelParams, NoSignChange, alpha_sequence,
@@ -507,8 +507,10 @@ class TestFindRoot:
         # bisection from h down to tol adds log2(h/tol) + 1 more
         bisection = math.ceil(math.log2(2 * w / (n - 1) / cfg.tol)) + 1
         assert len(points) <= 2 * n + bisection
-        assert all(isinstance(p, Fraction) for p in points)
-        assert all(p.denominator & (p.denominator - 1) == 0 for p in points)
+        # every signed point is a float, exactly a dyadic rational
+        assert all(isinstance(p, float) for p in points)
+        assert all(Fraction(p).denominator & (Fraction(p).denominator - 1) == 0
+                   for p in points)
 
 
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
@@ -679,6 +681,135 @@ class TestScanStopsEarly:
         tab = product_table([Fraction(0), Fraction(1, 8)])
         with pytest.warns(MultipleRootsWarning, match="2 sign changes"):
             assert find_root(tab, HankelConfig(d=1), 1, 1 / 16, 1.0, 17) == 0.0
+
+
+class TestFloatGrid:
+    # find_root scans and bisects floats; det_sign_at reads each one exactly
+
+    def test_sub_resolution_window(self, monkeypatch):
+        # w = 1e-15 about x: the grid 2^-53 is finer than ulp(x) = 2^-50, so
+        # the spacing is floored at ulp(x); a root at x + 2/3 ulp lies in the
+        # cell [x, x + ulp], which no float splits
+        x = 4.204113398591289
+        u = math.ulp(x)
+        tab = product_table([Fraction(x) + Fraction(2, 3) * Fraction(u)])
+        points = record_sign_points(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MultipleRootsWarning)
+            root = find_root(tab, HankelConfig(d=1), 1, x, 1e-15, 17)
+        assert root in (x, x + u)
+        # the cells either side of x, on a grid of ulps
+        assert sorted(points) == [x - u, x, x + u]
+
+    # every window of alpha_sequence: the floor at the window's float
+    # spacing leaves the grid as the spacing 2^-g of the scan count gives it
+    @settings(max_examples=150, deadline=None)
+    @given(guess=st.floats(1e-3, 1e100), frac=st.floats(0.0, 1.0),
+           negative=st.booleans())
+    @example(guess=4.204113398591289, frac=0.0, negative=False)
+    @example(guess=1e100, frac=0.0, negative=False)
+    @example(guess=1e-3, frac=1.0, negative=True)
+    def test_floor_leaves_alpha_sequence_windows(self, guess, frac, negative):
+        # w from 16 ulps (alpha_sequence's least window) up to |guess|/2
+        # (its widest), log-uniformly
+        lo_w, hi_w = 16 * math.ulp(guess), guess / 2
+        w = min(hi_w, lo_w * (hi_w / lo_w) ** frac)
+        guess = -guess if negative else guess
+        # f_3 = 1 has no root, so the whole grid is signed
+        out, points, _ = traced(find_root, product_table([]), HankelConfig(d=1),
+                                1, guess, w, 17)
+        assert out is NoSignChange
+        step = Fraction(2) ** math.floor(math.log2(2 * w / 16))
+        grid = sorted(Fraction(p) for p in points)
+        assert all(b - a == step for a, b in zip(grid, grid[1:]))
+        assert grid[0] <= Fraction(guess - w) < grid[0] + step
+        assert grid[-1] - step < Fraction(guess + w) <= grid[-1]
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf])
+    def test_guess_must_be_finite(self, monkeypatch, guess):
+        points = record_sign_points(monkeypatch)
+        with pytest.raises(ValueError, match="guess must be finite"):
+            find_root(product_table([1]), HankelConfig(d=1), 1, guess, 1.0, 17)
+        assert points == []
+
+    @pytest.mark.parametrize("guess, w", [
+        (1.7e308, 1e307), (-1.7e308, 1e307), (1.0, 1.7e308), (2.0 ** 1022, 1.0)])
+    def test_window_must_lie_in_the_float_range(self, monkeypatch, guess, w):
+        points = record_sign_points(monkeypatch)
+        with pytest.raises(ValueError, match="float range"):
+            find_root(product_table([1]), HankelConfig(d=1), 1, guess, w, 17)
+        assert points == []
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            det_sign_at(product_table([1]), 1, 1, alpha)
+
+    def test_floats_and_rationals_sign_alike(self):
+        # a float is signed as the rational it is exactly
+        tab = product_table([Fraction(1, 10)])
+        assert det_sign_at(tab, 1, 1, 0.1) == det_sign_at(tab, 1, 1, Fraction(0.1))
+        assert det_sign_at(tab, 1, 1, 0.1) != 0  # 0.1 is not 1/10
+        assert det_sign_at(tab, 1, 1, 0.5) == 1
+
+
+@st.composite
+def float_brackets(draw):
+    """(a, b, t): floats a < t < b, over both signs and many magnitudes."""
+    a = draw(st.floats(-1e300, 1e300))
+    b = draw(st.floats(-1e300, 1e300))
+    a, b = min(a, b), max(a, b)
+    t = draw(st.floats(a, b))
+    assume(a < t < b)
+    return a, b, t
+
+
+class TestBisectSign:
+    # the one bisection loop on a step function whose sign changes at a
+    # float threshold t
+
+    @settings(max_examples=300, deadline=None)
+    @given(bracket=float_brackets(),
+           width=st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
+           ga=st.sampled_from([-1, 1]))
+    @example(bracket=(1.0, 2.0, 1.5), width=0.0, ga=-1)  # a zero at once
+    @example(bracket=(0.0, 1.0, 5e-324), width=0.0, ga=1)  # to subnormals
+    @example(bracket=(-1.0, 1.0, 0.1), width=0.25, ga=1)
+    def test_keeps_the_signs_and_stops_by_one_rule(self, bracket, width, ga):
+        a, b, t = bracket
+
+        def g(x):
+            return 0 if x == t else (ga if x < t else -ga)
+
+        lo, hi = bisect_sign(g, a, b, ga, width)
+        assert a <= lo <= hi <= b
+        if lo == hi:  # an exact zero at a midpoint
+            assert lo == t
+            return
+        assert g(lo) == ga and g(hi) == -ga
+        assert hi - lo <= width or math.nextafter(lo, math.inf) == hi
+        if b - a <= width:
+            assert (lo, hi) == (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket=float_brackets(), path=st.lists(st.booleans(), max_size=60))
+    def test_zero_at_a_midpoint(self, bracket, path):
+        # m: the midpoint that the path's steps reach; a step function that
+        # vanishes at m leads bisection down the same path to (m, m)
+        a, b, _ = bracket
+        lo, hi = a, b
+        for right in path:
+            mid = (lo + hi) / 2
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if right else (lo, mid)
+        m = (lo + hi) / 2
+        assume(lo < m < hi)
+
+        def g(x):
+            return 0 if x == m else (-1 if x < m else 1)
+
+        assert bisect_sign(g, a, b, -1, 0.0) == (m, m)
 
 
 class TestAlphaSequence:
@@ -863,6 +994,7 @@ class TestAlphaSequence:
 
         def recorded(table, d, D, alpha):
             sign = real(table, d, D, alpha)
+            alpha = Fraction(alpha)
             signs.append((D, alpha.numerator, alpha.denominator, sign))
             return sign
 
