@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from ._bisection import bisect_sign
 from .model import ModelParams
-from .polyseries import solve_linear
+from .polyseries import _horner, solve_linear
 
 
 class ComplexDecay(Exception):
@@ -94,13 +94,17 @@ def _alpha_est(beta: float, b) -> float:
     return beta * beta * _sum_in_order(j * j * bj for j, bj in enumerate(b))
 
 
+def _max_abs(g: list[float]) -> float:  # nan if any g_i is, unlike max()
+    return math.nan if any(x != x for x in g) else max(map(abs, g))
+
+
 def _finish(params: ModelParams, beta: float, b) -> AnsatzSolution:
     N = len(b) - 1
     beta = float(beta)
     R = _modes(params, beta, b)
     return AnsatzSolution(N=N, beta=beta, b=tuple(float(x) for x in b),
                           alpha_est=float(_alpha_est(beta, b)),
-                          residual_norm=float(max(abs(r) for r in R[:N])))
+                          residual_norm=float(_max_abs(R[:N])))
 
 
 def _M2_minus_m(params: ModelParams) -> float:
@@ -152,22 +156,21 @@ def _n2_coeffs(params: ModelParams, beta: float) -> list[float]:
 
 def _real_roots(c: list[float]) -> list[float]:
     """Real roots, ascending, of p(x) = sum c[i] x^(d-i), c[0] != 0: the real
-    roots of p' cut the Cauchy-bound interval into monotone pieces; a piece
-    end where p is 0 is a root, and a piece whose ends differ in sign is
-    bisected to adjacent floats, keeping the end with the smaller |p|."""
+    roots of p' cut the Cauchy-bound interval into monotone pieces, p taken
+    once at each end; an end where p is 0 is a root, and a piece whose ends
+    differ in sign is bisected to adjacent floats, keeping the smaller |p|."""
     d = len(c) - 1
     if d < 1:
         return []
-
-    def p(x):
-        return reduce(lambda acc, ci: acc * x + ci, c, 0.0)
-    bound = 1 + max(abs(ci / c[0]) for ci in c)
+    p = partial(_horner, c[::-1])
+    bound = 1 + _max_abs([ci / c[0] for ci in c])
     dp = [(d - i) / d * ci for i, ci in enumerate(c[:-1])]  # p' / d: no overflow
     ends = [-bound, *_real_roots(dp), bound]
-    roots = {x for x in ends if p(x) == 0}
-    for a, b in zip(ends, ends[1:]):
-        if min(p(a), p(b)) < 0 < max(p(a), p(b)):
-            a, b = bisect_sign(p, a, b, p(a), 0.0)
+    values = [p(x) for x in ends]
+    roots = {x for x, px in zip(ends, values) if px == 0}
+    for a, b, pa, pb in zip(ends, ends[1:], values, values[1:]):
+        if min(pa, pb) < 0 < max(pa, pb):
+            a, b = bisect_sign(p, a, b, pa, 0.0)
             roots.add(min((a, b), key=lambda x: abs(p(x))))
     return sorted(roots)
 
@@ -241,10 +244,6 @@ def _jacobian(params: ModelParams, x: list[float], N: int) -> list[list[float]]:
         xk = [xi + 1j * h if i == k else xi for i, xi in enumerate(x)]
         cols.append([g.imag / h for g in _system(params, xk, N)])
     return [list(row) for row in zip(*cols)]
-
-
-def _max_abs(g: list[float]) -> float:  # nan if any g_i is, unlike max()
-    return math.nan if any(x != x for x in g) else max(map(abs, g))
 
 
 def solve_general(params: ModelParams, N: int) -> AnsatzSolution:

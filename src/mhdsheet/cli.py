@@ -69,13 +69,13 @@ def _checked(make, *args, **kwargs):
         raise UsageError(str(e)) from None
 
 
-def _num(x):
-    """Round-trip a float through 12 significant digits."""
-    return float(f"{float(x):.12g}")
-
-
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
+
+
+def _num(x):
+    """Round-trip a float through 12 significant digits."""
+    return float(_fmt(x))
 
 
 def _parse_exact(text: str) -> Fraction:

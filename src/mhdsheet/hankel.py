@@ -311,24 +311,26 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
     """Locate a root of the Hankel determinant near `guess`.
 
     The scan grid is about n floats i 2^-g across [guess - w, guess + w],
-    its spacing floored at the float spacing of |guess| + w. A bracket is
-    a point where the sign is 0 or a cell across which it changes. Every
-    point and cell is a candidate, walked nearest-first: by the float
-    distance of its midpoint from `guess`, then the lower index, then the
-    point before the cell. The walk signs the points of each candidate it
-    reaches and takes the first bracket: the one that signing the whole
-    grid would choose, usually after a few points. That bracket is bisected
-    on floats (`bisect_sign`, from the sign the walk found at its left end,
-    so no point is signed twice) to width cfg.tol or adjacent floats; each
-    sign is exact, as `det_sign_at` reads each float exactly. Raises
-    ValueError for a guess that is not finite or a window past the float
-    range, and NoSignChange when the walk ends without a bracket, the whole
-    grid signed, or when w is 0.
+    its spacing floored at the float spacing of |guess| + w (which alone
+    sets it where 2w/(n-1) underflows). A bracket is a point where the
+    sign is 0 or a cell across which it changes. Every point and cell is a
+    candidate, walked nearest-first: by the float distance of its midpoint
+    from `guess`, then the lower index, then the point before the cell.
+    The walk signs the points of each candidate it reaches and takes the
+    first bracket: the one that signing the whole grid would choose,
+    usually after a few points. That bracket is bisected on floats
+    (`bisect_sign`, from the sign the walk found at its left end, so no
+    point is signed twice) to width cfg.tol or adjacent floats; each sign
+    is exact, as `det_sign_at` reads each float exactly. Raises ValueError,
+    before any point is built, for a scan count n outside [3, 2^16], a
+    guess that is not finite or a window past the float range, and
+    NoSignChange when the walk ends without a bracket, the whole grid
+    signed, or when w is 0.
     """
     if not 0 <= w < math.inf:  # nan included
         raise ValueError("half-width w must be >= 0 and finite")
-    if n < 3:
-        raise ValueError("scan count n must be >= 3")
+    if not 3 <= n <= 2 ** 16:  # the grid holds up to 2n points
+        raise ValueError("scan count n must be in [3, 2**16]")
     if not math.isfinite(guess):
         raise ValueError("guess must be finite")
     if not abs(guess) + w < 2.0 ** 1022:  # grid sums stay below 2^1024
@@ -340,8 +342,9 @@ def find_root(table: TaylorTable, cfg: HankelConfig, D: int, guess: float,
     # evaluation points keep the exact determinant arithmetic cheap, and
     # bisection midpoints then grow only one bit per step; g < 0 (spacing
     # 2, 4, ...) keeps a wide bracket at about n points. The floor at the
-    # window's float spacing keeps the points distinct floats
-    g = -math.floor(math.log2(2 * w / (n - 1)))
+    # window's float spacing keeps the points distinct floats; a spacing
+    # that underflows to 0 reads as 5e-324, finer than any floor
+    g = -math.floor(math.log2(2 * w / (n - 1) or 5e-324))
     g = min(g, 1 - math.frexp(math.ulp(abs(guess) + w))[1])
     lo_i = math.floor(math.ldexp(guess - w, g))
     hi_i = math.ceil(math.ldexp(guess + w, g))

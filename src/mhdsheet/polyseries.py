@@ -46,19 +46,24 @@ class PoleNear(Exception):
     """Pade evaluation requested too close to a denominator zero."""
 
 
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[k] x^k by Horner's rule, highest degree first. From the
+    int 0: floats round as from 0.0, rationals stay exact Fractions."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class AlphaPolynomial(namedtuple("AlphaPolynomial", "coeffs")):
     """Univariate polynomial in alpha with exact rational coefficients,
-    coeffs[k] multiplying alpha^k. The table's entries are canonical:
-    trailing zeros trimmed, the zero polynomial is the empty tuple."""
+    coeffs[k] multiplying alpha^k, evaluated by `_horner`. Canonical in the
+    table: no trailing zeros; the zero polynomial is (), of value int 0."""
 
     __slots__ = ()
 
     def __call__(self, alpha: Fraction) -> Fraction:
-        # Horner, highest degree first, for determinism
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * alpha + c
-        return acc
+        return _horner(self.coeffs, alpha)
 
 
 class TaylorTable(namedtuple("TaylorTable", "m2 m s moments")):
@@ -198,13 +203,6 @@ def pade(series: Sequence[float], L: int, K: int) -> PadeApproximant:
     num = [math.fsum(den[k] * c[i - k] for k in range(min(i, K) + 1))
            for i in range(L + 1)]
     return PadeApproximant(tuple(num), tuple(den))
-
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def pade_eval(p: PadeApproximant, eta: float) -> float:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from mhdsheet import hankel
 from mhdsheet._bisection import bisect_sign
 from mhdsheet.hankel import (MultipleRootsWarning, _bareiss_sign,
                              _condensation_sign, _int_matrix)
-from mhdsheet.polyseries import AlphaPolynomial, TaylorTable
+from mhdsheet.polyseries import AlphaPolynomial, TaylorTable, _horner
 
 from conftest import clear_by_lcm, deadline
 
@@ -740,6 +741,30 @@ class TestFloatGrid:
             find_root(product_table([1]), HankelConfig(d=1), 1, guess, w, 17)
         assert points == []
 
+    def test_subnormal_window_without_root(self, monkeypatch):
+        # 2w/16 underflows to 0: the float spacing of 1.0 alone sets the
+        # grid, the one point 1.0, where f_3 = alpha - 2 is not 0
+        points = record_sign_points(monkeypatch)
+        with pytest.raises(NoSignChange):
+            find_root(product_table([2]), HankelConfig(d=1), 1, 1.0, 5e-324, 17)
+        assert points == [1.0]
+
+    def test_subnormal_window_about_a_root_at_zero(self, monkeypatch):
+        # the grid is -5e-324, 0, 5e-324: the least subnormal spacing
+        points = record_sign_points(monkeypatch)
+        root = find_root(product_table([0]), HankelConfig(d=1), 1, 0.0, 5e-324, 17)
+        assert root == 0.0
+        assert set(points) <= {-5e-324, 0.0, 5e-324}
+
+    @pytest.mark.parametrize("n", [2 ** 16 + 1, 10 ** 400],
+                             ids=["2**16+1", "10**400"])
+    def test_scan_count_past_2_16_rejected(self, monkeypatch, n):
+        # checked before a grid of ~n points is built
+        points = record_sign_points(monkeypatch)
+        with pytest.raises(ValueError, match="scan count"):
+            find_root(product_table([0]), HankelConfig(d=1), 1, 0.0, 1.0, n)
+        assert points == []
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_alpha_must_be_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
@@ -810,6 +835,36 @@ class TestBisectSign:
             return 0 if x == m else (-1 if x < m else 1)
 
         assert bisect_sign(g, a, b, -1, 0.0) == (m, m)
+
+
+def _bits(x):
+    """The 8 bytes of float x, with every nan read as one value."""
+    return b"nan" if x != x else struct.pack("<d", x)
+
+
+class TestHorner:
+    # polyseries._horner is the package's one polynomial loop: floats in
+    # the N=2 quartic's root search and Pade evaluation, exact rationals in
+    # AlphaPolynomial
+
+    @settings(max_examples=500, deadline=None)
+    @given(c=st.lists(st.floats(), max_size=8), x=st.floats())
+    @example(c=[-0.0], x=-1.0)  # a start of 0 * x would give +0.0
+    @example(c=[5e-324, -0.0], x=-0.0)
+    @example(c=[1.0, math.inf], x=0.0)
+    def test_floats_bit_for_bit_as_from_zero_float(self, c, x):
+        acc = 0.0
+        for ci in reversed(c):
+            acc = acc * x + ci
+        assert _bits(_horner(c, x)) == _bits(acc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.lists(st.fractions(max_denominator=10 ** 6), max_size=8),
+           x=st.fractions(max_denominator=10 ** 6))
+    def test_rationals_exact(self, c, x):
+        value = _horner(c, x)
+        assert value == sum((ck * x ** k for k, ck in enumerate(c)), Fraction(0))
+        assert isinstance(value, Fraction) or not c
 
 
 class TestAlphaSequence:
